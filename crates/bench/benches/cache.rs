@@ -2,7 +2,7 @@
 //! and hit-probe cost as the cache grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{Dataset, FtvMethod, QueryKind};
 use gc_workload::{extract_query, molecule_dataset};
 use rand::rngs::StdRng;
@@ -10,12 +10,17 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn warmed_cache(dataset: &Arc<Dataset>, entries: usize, seed: u64) -> GraphCache {
-    let mut gc = GraphCache::with_policy(
+fn warmed_cache(dataset: &Arc<Dataset>, entries: usize, seed: u64) -> SharedGraphCache {
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig { capacity: entries.max(1), window_size: 10, ..CacheConfig::default() },
+        CacheConfig {
+            capacity: entries.max(1),
+            window_size: 10,
+            shards: 1,
+            ..CacheConfig::default()
+        },
     )
     .expect("valid config");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -36,7 +41,7 @@ fn bench_cache(c: &mut Criterion) {
     group.sample_size(20).measurement_time(Duration::from_secs(2));
 
     // Exact-hit fast path: resubmit a query the cache holds.
-    let mut gc = warmed_cache(&dataset, 50, 1);
+    let gc = warmed_cache(&dataset, 50, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let hot = extract_query(dataset.graph(5), 7, &mut rng).unwrap();
     gc.query(&hot, QueryKind::Subgraph); // ensure cached
@@ -47,7 +52,7 @@ fn bench_cache(c: &mut Criterion) {
     // Probe cost as cache size grows: query misses but must be checked
     // against all cached entries' feature vectors.
     for &entries in &[10usize, 50, 200] {
-        let mut gc = warmed_cache(&dataset, entries, 3);
+        let gc = warmed_cache(&dataset, entries, 3);
         let mut rng = StdRng::seed_from_u64(1000);
         let fresh: Vec<_> = (0..10)
             .map(|i| extract_query(dataset.graph(90 + (i % 10)), 9, &mut rng).unwrap())

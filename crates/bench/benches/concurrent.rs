@@ -41,7 +41,7 @@ fn bench_concurrent(c: &mut Criterion) {
     let mut group = c.benchmark_group("shared_graphcache");
     group.sample_size(20).measurement_time(Duration::from_secs(2));
 
-    // Exact-hit fast path through the sharded front-end.
+    // Exact-hit fast path through the sharded cache.
     let gc = warmed_shared(&dataset, 50, 1);
     let mut rng = StdRng::seed_from_u64(2);
     let hot = extract_query(dataset.graph(5), 7, &mut rng).unwrap();

@@ -29,7 +29,7 @@
 
 use gc_bench::{print_table, write_artifact};
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind, QueryReport};
+use gc_core::{CacheConfig, PolicyKind, QueryReport, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, FtvMethod, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
@@ -102,30 +102,40 @@ fn session(
     ds: &Arc<Dataset>,
     cfg: &CacheConfig,
     store: Option<Arc<CacheStore>>,
-) -> (GraphCache, gc_core::RecoveryReport) {
-    let method = Box::new(FtvMethod::build(ds, 2));
+) -> (SharedGraphCache, gc_core::RecoveryReport) {
+    let method = FtvMethod::build(ds, 2);
     match store {
-        Some(store) => {
-            GraphCache::restore_from(ds.clone(), method, PolicyKind::Hd.make(), cfg.clone(), store)
-                .unwrap_or_else(|e| fail(&format!("restore_from errored: {e}")))
-        }
+        Some(store) => SharedGraphCache::restore_from(
+            ds.clone(),
+            Arc::new(method),
+            || PolicyKind::Hd.make(),
+            cfg.clone(),
+            store,
+        )
+        .unwrap_or_else(|e| fail(&format!("restore_from errored: {e}"))),
         None => (
-            GraphCache::with_policy(ds.clone(), method, PolicyKind::Hd, cfg.clone())
-                .expect("valid config"),
+            SharedGraphCache::with_policy(
+                ds.clone(),
+                Box::new(method),
+                PolicyKind::Hd,
+                cfg.clone(),
+            )
+            .expect("valid config"),
             gc_core::RecoveryReport::default(),
         ),
     }
 }
 
-fn entry_signature(gc: &GraphCache) -> Vec<(u64, QueryKind)> {
-    let mut sig: Vec<_> = gc.cache().iter().map(|e| (e.fingerprint, e.kind)).collect();
+fn entry_signature(gc: &SharedGraphCache) -> Vec<(u64, QueryKind)> {
+    let mut sig = Vec::new();
+    gc.for_each_shard(|_, cm| sig.extend(cm.iter().map(|e| (e.fingerprint, e.kind))));
     sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
     sig
 }
 
 /// Run `queries` and return (reports, wall seconds).
 fn run_queries(
-    gc: &mut GraphCache,
+    gc: &SharedGraphCache,
     queries: &[gc_workload::WorkloadQuery],
 ) -> (Vec<QueryReport>, f64) {
     let start = Instant::now();
@@ -160,7 +170,7 @@ fn corruption_case(
     copy_dir(golden, &dir);
     mutate(&dir);
     let store = Arc::new(CacheStore::open(&dir).expect("open corrupted dir"));
-    let (mut gc, report) = session(ds, cfg, Some(store));
+    let (gc, report) = session(ds, cfg, Some(store));
     if report.warm {
         fail(&format!("corruption case {name:?}: corrupted store restored warm"));
     }
@@ -219,6 +229,7 @@ fn main() {
         capacity,
         window_size: 5,
         snapshot_interval: Some((warmup_queries / 4) as u64),
+        shards: 1,
         ..CacheConfig::default()
     };
     let spec = |n, seed| WorkloadSpec {
@@ -237,11 +248,11 @@ fn main() {
     // ---- session A: warm up with persistence, then crash -----------------
     let dir = fresh_dir("store");
     let store = Arc::new(CacheStore::open(&dir).expect("open store"));
-    let (mut a, first) = session(&ds, &cfg, Some(store));
+    let (a, first) = session(&ds, &cfg, Some(store));
     if first.warm {
         fail("fresh directory restored warm");
     }
-    run_queries(&mut a, warmup);
+    run_queries(&a, warmup);
     // The warm-up may end exactly on a rotation boundary; top up with extra
     // traffic until the journal tail is non-empty, so the restore exercises
     // genuine journal replay.
@@ -265,7 +276,7 @@ fn main() {
     // ---- session B: warm restart ----------------------------------------
     let t = Instant::now();
     let store = Arc::new(CacheStore::open(&dir).expect("reopen store"));
-    let (mut warm, report) = session(&ds, &cfg, Some(store));
+    let (warm, report) = session(&ds, &cfg, Some(store));
     let restore_s = t.elapsed().as_secs_f64();
     if !report.warm {
         fail(&format!("restore was cold: {:?}", report.cold_reason));
@@ -276,7 +287,8 @@ fn main() {
     let snapshot_bytes = std::fs::metadata(snapshot_file(&dir)).map(|m| m.len()).unwrap_or(0);
 
     // Zero recomputed admissions: every restored entry is an exact hit.
-    let restored: Vec<_> = warm.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
+    let mut restored = Vec::new();
+    warm.for_each_shard(|_, cm| restored.extend(cm.iter().map(|e| (e.graph.clone(), e.kind))));
     let mut zero_recompute_entries = 0usize;
     for (graph, kind) in restored {
         let r = warm.query(&graph, kind);
@@ -287,9 +299,9 @@ fn main() {
     }
 
     // ---- probe: cold vs warm, answers cross-checked ----------------------
-    let (mut cold, _) = session(&ds, &cfg, None);
-    let (cold_reports, cold_probe_s) = run_queries(&mut cold, probe);
-    let (warm_reports, warm_probe_s) = run_queries(&mut warm, probe);
+    let (cold, _) = session(&ds, &cfg, None);
+    let (cold_reports, cold_probe_s) = run_queries(&cold, probe);
+    let (warm_reports, warm_probe_s) = run_queries(&warm, probe);
     let mut answers_cross_checked = 0usize;
     for (i, (rc, rw)) in cold_reports.iter().zip(&warm_reports).enumerate() {
         if rc.answer != rw.answer {
@@ -367,7 +379,7 @@ fn main() {
         let bytes = std::fs::read(&p).expect("read journal");
         std::fs::write(&p, &bytes[..bytes.len() - 5]).expect("tear journal");
         let store = Arc::new(CacheStore::open(&dir).expect("open torn dir"));
-        let (mut gc, report) = session(&ds, &cfg, Some(store));
+        let (gc, report) = session(&ds, &cfg, Some(store));
         if !report.warm {
             fail(&format!("torn tail went cold instead of warm: {:?}", report.cold_reason));
         }

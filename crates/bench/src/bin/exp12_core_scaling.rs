@@ -1,4 +1,4 @@
-//! Experiment XII: core-aware scaling of the sharded front-end plus
+//! Experiment XII: core-aware scaling of the sharded cache plus
 //! dispatched-vs-scalar kernel speedups.
 //!
 //! Two measurements in one artifact:
@@ -11,9 +11,10 @@
 //! 2. **Core scaling** — `SharedGraphCache` throughput over a zipf
 //!    workload swept across shard counts and client threads (with the
 //!    batched per-shard probe fan-out engaged via `threads = clients`),
-//!    against the sequential `GraphCache` baseline. Every shared-mode
-//!    answer is cross-checked bit-for-bit against the sequential replay;
-//!    any divergence aborts with a nonzero exit.
+//!    against a one-shard cache driven by one client as the baseline.
+//!    Every answer is cross-checked bit-for-bit against Method M alone
+//!    (`gc_method::execute_base`); any divergence aborts with a nonzero
+//!    exit.
 //!
 //! Writes `bench_results/exp12_core_scaling.json` and, as the perf
 //! trajectory artifact, `BENCH_scaling.json` at the working directory
@@ -23,9 +24,9 @@
 //! meaningful on any core count.
 
 use gc_bench::{print_table, write_artifact};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_graph::simd;
-use gc_method::{Dataset, SiMethod};
+use gc_method::{execute_base, Dataset, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 use std::hint::black_box;
@@ -232,17 +233,27 @@ fn main() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
 
-    let mut seq = GraphCache::with_policy(
+    let baseline_config =
+        CacheConfig { capacity: 64, window_size: 8, shards: 1, ..CacheConfig::default() };
+    let expected: Vec<gc_graph::BitSet> = workload
+        .queries
+        .iter()
+        .map(|wq| {
+            execute_base(&dataset, &SiMethod, baseline_config.engine, &wq.graph, wq.kind).answer
+        })
+        .collect();
+    let seq = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { capacity: 64, window_size: 8, ..CacheConfig::default() },
+        baseline_config,
     )
     .expect("valid config");
     let t0 = Instant::now();
-    let expected: Vec<gc_graph::BitSet> =
+    let answers: Vec<gc_graph::BitSet> =
         workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect();
     let seq_elapsed = t0.elapsed().as_secs_f64();
+    assert!(answers == expected, "one-shard answers diverged from Method M");
     let seq_qps = n_queries as f64 / seq_elapsed.max(1e-9);
 
     let shard_counts: &[usize] = if smoke { &[2] } else { &[2, 4] };
@@ -300,7 +311,7 @@ fn main() {
             // Divergence is a correctness failure: exit nonzero.
             assert_eq!(
                 mismatches, 0,
-                "shared answers diverged from sequential replay (shards {shards}, clients {clients})"
+                "answers diverged from Method M (shards {shards}, clients {clients})"
             );
             let qps = n_queries as f64 / elapsed.max(1e-9);
             scaling.push(ScalingPoint {
@@ -323,7 +334,7 @@ fn main() {
     }
 
     print_table(&["mode", "clients", "wall time", "throughput", "vs sequential"], &rows);
-    println!("\nall shared-mode answers verified bit-identical to the sequential replay");
+    println!("\nall answers verified bit-identical to Method M alone");
     if cores < 8 {
         println!(
             "note: only {cores} core(s) available — the speedup curve is bounded by \

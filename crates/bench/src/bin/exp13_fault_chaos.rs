@@ -28,7 +28,7 @@
 
 use gc_bench::{print_table, write_artifact};
 use gc_core::persist::{CacheStore, Failpoint, FaultPlan, FaultSite};
-use gc_core::{CacheConfig, FsyncPolicy, GraphCache, PersistHealth, PolicyKind};
+use gc_core::{CacheConfig, FsyncPolicy, PersistHealth, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
@@ -91,7 +91,12 @@ fn workload(ds: &Arc<Dataset>, n: usize, seed: u64) -> Workload {
 
 /// Run `w` through `gc`, cross-checking every answer against Method M
 /// alone. Returns (answers checked, answers served while not healthy).
-fn run_checked(gc: &mut GraphCache, ds: &Arc<Dataset>, w: &Workload, what: &str) -> (usize, usize) {
+fn run_checked(
+    gc: &SharedGraphCache,
+    ds: &Arc<Dataset>,
+    w: &Workload,
+    what: &str,
+) -> (usize, usize) {
     let mut checked = 0usize;
     let mut degraded = 0usize;
     for wq in &w.queries {
@@ -108,8 +113,8 @@ fn run_checked(gc: &mut GraphCache, ds: &Arc<Dataset>, w: &Workload, what: &str)
     (checked, degraded)
 }
 
-fn cache(ds: &Arc<Dataset>, cfg: CacheConfig) -> GraphCache {
-    GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
+fn cache(ds: &Arc<Dataset>, cfg: CacheConfig) -> SharedGraphCache {
+    SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
 }
 
 fn main() {
@@ -126,6 +131,7 @@ fn main() {
         window_size: 3,
         min_admit_tests: 0,
         persist_retries: 2,
+        shards: 1,
         ..CacheConfig::default()
     };
     let mut answers_cross_checked = 0usize;
@@ -152,7 +158,7 @@ fn main() {
         plan.arm(FaultSite::JournalAppend, *fp);
     }
     store_a.set_fault_plan(Some(Arc::clone(&plan)));
-    let (c, d) = run_checked(&mut gc, &ds, &workload(&ds, seg_queries, 2), "segment A");
+    let (c, d) = run_checked(&gc, &ds, &workload(&ds, seg_queries, 2), "segment A");
     answers_cross_checked += c;
     answers_served_degraded += d;
     if gc.persist_health() != Some(PersistHealth::Healthy) {
@@ -177,7 +183,7 @@ fn main() {
     plan.arm(FaultSite::JournalAppend, Failpoint::ErrAfter { n: 0 });
     plan.arm(FaultSite::SnapshotWrite, Failpoint::ErrAfter { n: 0 });
     store_b.set_fault_plan(Some(Arc::clone(&plan)));
-    let (c, d) = run_checked(&mut gc, &ds, &workload(&ds, seg_queries, 3), "segment B");
+    let (c, d) = run_checked(&gc, &ds, &workload(&ds, seg_queries, 3), "segment B");
     answers_cross_checked += c;
     answers_served_degraded += d;
     if gc.persist_health() != Some(PersistHealth::Degraded) {
@@ -200,7 +206,7 @@ fn main() {
         if Instant::now() >= deadline {
             fail("segment C: recovery probe never re-armed persistence");
         }
-        let (c, d) = run_checked(&mut gc, &ds, &probe_w, "segment C");
+        let (c, d) = run_checked(&gc, &ds, &probe_w, "segment C");
         answers_cross_checked += c;
         answers_served_degraded += d;
         std::thread::sleep(Duration::from_millis(5));
@@ -213,10 +219,10 @@ fn main() {
         fail("segment C: buffered-records gauge not reset by the recovery snapshot");
     }
     drop(gc);
-    let (mut warm, report) = GraphCache::restore_from(
+    let (warm, report) = SharedGraphCache::restore_from(
         ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
         cfg.clone(),
         Arc::new(CacheStore::open(&dir_b).expect("reopen store")),
     )
@@ -224,16 +230,16 @@ fn main() {
     if !report.warm {
         fail(&format!("segment C: post-recovery restore was cold: {:?}", report.cold_reason));
     }
-    let (c, _) = run_checked(&mut warm, &ds, &workload(&ds, 8, 5), "segment C restore");
+    let (c, _) = run_checked(&warm, &ds, &workload(&ds, 8, 5), "segment C restore");
     answers_cross_checked += c;
     drop(warm);
     let _ = std::fs::remove_dir_all(&dir_b);
 
     // ---- segment D: injected worker-pool panics ---------------------------
-    // The sharded front-end routes shard probes and candidate verification
+    // The sharded cache routes shard probes and candidate verification
     // through the process-wide pool (threads > 1, parallel_threshold 1
     // forces dispatch); every lost chunk must be redone inline.
-    let gc = gc_core::SharedGraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         ds.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
@@ -274,10 +280,10 @@ fn main() {
     let dir_e = fresh_dir("crash");
     let store_e = Arc::new(CacheStore::open(&dir_e).expect("open store"));
     {
-        // Empty base snapshot so recovery is snapshot + pure journal tail.
+        // Empty base snapshot so recovery is snapshot + pure journal tail;
+        // the seeder drops (and stops journaling) at the end of the block.
         let mut seeder = cache(&ds, cfg.clone());
         seeder.attach_store(Arc::clone(&store_e)).expect("base snapshot");
-        seeder.detach_store();
     }
     store_e.set_fsync_policy(FsyncPolicy::EveryN(fsync_every_n));
     let seed_w = workload(&ds, crash_records, 8);

@@ -25,7 +25,7 @@
 
 use gc_bench::{print_table, write_artifact};
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, FtvMethod, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -95,8 +95,8 @@ fn main() {
 
     // ---- phase 1: interleaved mutation stream, every answer checked ------
     let base = Arc::new(Dataset::new(molecule_dataset(ds_size, 1500)));
-    let cfg = CacheConfig { capacity: 24, window_size: 3, ..CacheConfig::default() };
-    let mut gc = GraphCache::with_policy(
+    let cfg = CacheConfig { capacity: 24, window_size: 3, shards: 1, ..CacheConfig::default() };
+    let gc = SharedGraphCache::with_policy(
         base.clone(),
         Box::new(FtvMethod::build(&base, 2)),
         PolicyKind::Hd,
@@ -135,12 +135,12 @@ fn main() {
                     asked[rng.gen_range(0..asked.len())].clone()
                 } else {
                     let kind = if k % 2 == 0 { QueryKind::Subgraph } else { QueryKind::Supergraph };
-                    let q = live_query(gc.dataset(), &mut rng);
+                    let q = live_query(&gc.dataset(), &mut rng);
                     asked.push((q.clone(), kind));
                     (q, kind)
                 };
                 let r = gc.query(&q, kind);
-                let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
+                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, kind);
                 if r.answer != want.answer {
                     fail(&format!(
                         "step {step}: answer diverged from Method M on the mutated dataset \
@@ -182,11 +182,11 @@ fn main() {
     };
     let workload = Workload::generate(base.graphs(), &spec);
     let run = |memo_capacity: usize| {
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             base.clone(),
             Box::new(FtvMethod::build(&base, 2)),
             PolicyKind::Lru,
-            CacheConfig { capacity: 8, window_size: 2, memo_capacity, ..CacheConfig::default() },
+            CacheConfig { capacity: 8, window_size: 2, memo_capacity, ..cfg.clone() },
         )
         .expect("valid config");
         let t0 = Instant::now();
@@ -217,10 +217,10 @@ fn main() {
     // ---- phase 3: warm restart replays dataset deltas --------------------
     let dir = fresh_dir("store");
     let store = Arc::new(CacheStore::open(&dir).expect("open store"));
-    let (mut a, first) = GraphCache::restore_from(
+    let (a, first) = SharedGraphCache::restore_from(
         base.clone(),
-        Box::new(FtvMethod::build(&base, 2)),
-        PolicyKind::Hd.make(),
+        Arc::new(FtvMethod::build(&base, 2)),
+        || PolicyKind::Hd.make(),
         cfg.clone(),
         Arc::clone(&store),
     )
@@ -253,17 +253,17 @@ fn main() {
     let final_fp = a.dataset().content_fingerprint();
     let want_answers: Vec<_> = probes
         .iter()
-        .map(|(q, kind)| execute_base(a.dataset(), &SiMethod, Engine::Vf2, q, *kind).answer)
+        .map(|(q, kind)| execute_base(&a.dataset(), &SiMethod, Engine::Vf2, q, *kind).answer)
         .collect();
     a.attached_store().expect("store attached").sync().expect("sync journal");
     drop(a); // crash: deltas never made it into a snapshot
 
     let t = Instant::now();
     let store = Arc::new(CacheStore::open(&dir).expect("reopen store"));
-    let (mut b, report) = GraphCache::restore_from(
+    let (b, report) = SharedGraphCache::restore_from(
         base.clone(),
-        Box::new(FtvMethod::build(&base, 2)),
-        PolicyKind::Hd.make(),
+        Arc::new(FtvMethod::build(&base, 2)),
+        || PolicyKind::Hd.make(),
         cfg,
         store,
     )

@@ -8,7 +8,7 @@
 //! `|C_M| = 75 → |C| = 43`, speedup 1.74.
 
 use gc_bench::write_artifact;
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_demo::run_query_journey;
 use gc_method::{Dataset, FtvMethod, QueryKind};
 use gc_workload::molecules::{molecule_dataset_with, MoleculeParams};
@@ -37,11 +37,11 @@ fn main() {
     let params =
         MoleculeParams { label_weights: vec![(0, 0.85), (1, 0.15)], ..MoleculeParams::default() };
     let dataset = Arc::new(Dataset::new(molecule_dataset_with(100, &params, 1812)));
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 1)),
         PolicyKind::Hd,
-        CacheConfig { capacity: 50, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 50, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
 
@@ -62,7 +62,7 @@ fn main() {
         }
     }
 
-    let journey = run_query_journey(&mut gc, &journey_query, QueryKind::Subgraph);
+    let journey = run_query_journey(&gc, &journey_query, QueryKind::Subgraph);
     println!("{}", journey.rendering);
 
     let r = &journey.report;

@@ -7,7 +7,7 @@
 //! PIN cache evicted ids 39, 41, …, 49 while LRU evicted the oldest).
 
 use gc_bench::write_artifact;
-use gc_core::{CacheConfig, EntryId, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, EntryId, PolicyKind, SharedGraphCache};
 use gc_method::{Dataset, FtvMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
@@ -66,11 +66,11 @@ fn main() {
     println!("=== Experiment IV: Cache Replacement (Fig. 2(c)) ===");
     println!("cache capacity 50, window 10; same warm-up, same 10 incoming queries\n");
     for policy in PolicyKind::all() {
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(FtvMethod::build(&dataset, 2)),
             policy,
-            CacheConfig { capacity: 50, window_size: 10, ..CacheConfig::default() },
+            CacheConfig { capacity: 50, window_size: 10, shards: 1, ..CacheConfig::default() },
         )
         .expect("valid config");
         // Warm until the cache is full at 50 entries.

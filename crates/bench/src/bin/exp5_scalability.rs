@@ -8,8 +8,11 @@
 //! 2. workload skew ∈ {0.0, 0.6, 1.2, 1.8} at fixed capacity —
 //!    skew is where the up-to-40× regime lives: the more repetition and
 //!    containment structure, the larger the speedup;
-//! 3. verification threads ∈ {1, 2, 4} (resource-management ablation);
-//! 4. hit-check budget ∈ {4, 16, 64, 256} (DESIGN.md §6 ablation).
+//! 3. verification threads ∈ {1, 2, 4} (resource-management ablation;
+//!    any value above 1 verifies on the process-wide pool, which is sized
+//!    by the machine's cores, so 2 and 4 run the same pool);
+//! 4. hit-check budget ∈ {4, 16, 64, 256} (how much probing may cost a
+//!    query before it stops paying).
 
 use gc_bench::{print_table, run_base, run_cached, write_artifact};
 use gc_core::{CacheConfig, PolicyKind};

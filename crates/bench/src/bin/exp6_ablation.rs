@@ -1,4 +1,4 @@
-//! Experiment VI (extension): ablation of GC's design choices (DESIGN.md §6).
+//! Experiment VI (extension): ablation of GC's design choices.
 //!
 //! The paper leaves several mechanisms unspecified; this harness quantifies
 //! the choices made by this reproduction:
@@ -10,7 +10,7 @@
 
 use gc_bench::{print_table, run_base, write_artifact, BaseAggregate};
 use gc_core::policy_ext::{GdsPolicy, HdArithPolicy, RandomPolicy};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, ReplacementPolicy};
+use gc_core::{CacheConfig, PolicyKind, ReplacementPolicy, SharedGraphCache};
 use gc_method::{Dataset, FtvMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
@@ -24,18 +24,21 @@ struct AblationRow {
     hit_ratio: f64,
 }
 
+/// Builds one replacement policy (called once: the cache has one shard).
+type MakePolicy = fn() -> Box<dyn ReplacementPolicy>;
+
 fn run_with_policy(
     dataset: &Arc<Dataset>,
-    policy: Box<dyn ReplacementPolicy>,
+    make_policy: MakePolicy,
     config: &CacheConfig,
     workload: &Workload,
     base: &BaseAggregate,
 ) -> (f64, f64) {
-    let mut gc = GraphCache::new(
+    let gc = SharedGraphCache::new(
         dataset.clone(),
-        Box::new(FtvMethod::build(dataset, 2)),
-        policy,
-        config.clone(),
+        Arc::new(FtvMethod::build(dataset, 2)),
+        make_policy,
+        CacheConfig { shards: 1, ..config.clone() },
     )
     .expect("valid config");
     for wq in &workload.queries {
@@ -65,13 +68,13 @@ fn main() {
 
     // --- axis 1: eviction formula --------------------------------------------
     let mut rows = Vec::new();
-    let variants: Vec<(&str, Box<dyn ReplacementPolicy>)> = vec![
-        ("HD (rank-sum, bundled)", PolicyKind::Hd.make()),
-        ("HD-arith", Box::new(HdArithPolicy::new())),
-        ("PIN", PolicyKind::Pin.make()),
-        ("PINC", PolicyKind::Pinc.make()),
-        ("GDS", Box::new(GdsPolicy::new())),
-        ("Random", Box::new(RandomPolicy::new(99))),
+    let variants: Vec<(&str, MakePolicy)> = vec![
+        ("HD (rank-sum, bundled)", || PolicyKind::Hd.make()),
+        ("HD-arith", || Box::new(HdArithPolicy::new())),
+        ("PIN", || PolicyKind::Pin.make()),
+        ("PINC", || PolicyKind::Pinc.make()),
+        ("GDS", || Box::new(GdsPolicy::new())),
+        ("Random", || Box::new(RandomPolicy::new(99))),
     ];
     for (name, policy) in variants {
         let (speedup, hit) = run_with_policy(&dataset, policy, &tight, &workload, &base);
@@ -92,7 +95,7 @@ fn main() {
     for window in [1usize, 5, 10, 25] {
         let cfg = CacheConfig { window_size: window, ..tight.clone() };
         let (speedup, hit) =
-            run_with_policy(&dataset, PolicyKind::Hd.make(), &cfg, &workload, &base);
+            run_with_policy(&dataset, || PolicyKind::Hd.make(), &cfg, &workload, &base);
         rows.push(vec![
             window.to_string(),
             format!("{speedup:.2}x"),
@@ -113,7 +116,7 @@ fn main() {
     for min_tests in [0usize, 1, 4, 16] {
         let cfg = CacheConfig { min_admit_tests: min_tests, ..tight.clone() };
         let (speedup, hit) =
-            run_with_policy(&dataset, PolicyKind::Hd.make(), &cfg, &workload, &base);
+            run_with_policy(&dataset, || PolicyKind::Hd.make(), &cfg, &workload, &base);
         rows.push(vec![
             min_tests.to_string(),
             format!("{speedup:.2}x"),

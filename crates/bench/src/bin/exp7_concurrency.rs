@@ -1,14 +1,17 @@
-//! Experiment VII: concurrent-client throughput of the sharded front-end.
+//! Experiment VII: concurrent-client throughput of the sharded cache.
 //!
 //! The ROADMAP's north star is a cache that serves heavy concurrent
 //! traffic; this harness measures how `SharedGraphCache` throughput scales
-//! with client threads on a fixed zipf workload, against the sequential
-//! `GraphCache` as the 1-thread baseline:
+//! with client threads on a fixed zipf workload, against a one-shard cache
+//! driven by one client as the baseline:
 //!
-//! 1. sequential `GraphCache` over the workload (baseline queries/s);
-//! 2. `SharedGraphCache` with 1, 2, 4 and 8 client threads (workload
-//!    striped round-robin), answers spot-checked against the sequential
-//!    replay.
+//! 1. the one-shard cache over the workload, one client (baseline
+//!    queries/s, reported as mode `sequential`);
+//! 2. the sharded cache with 1, 2, 4 and 8 client threads (workload
+//!    striped round-robin).
+//!
+//! Every answer of every run is checked against Method M alone
+//! (`gc_method::execute_base`).
 //!
 //! Writes `bench_results/exp7_concurrency.json` and — as the perf
 //! trajectory artifact for later PRs — `BENCH_concurrency.json` at the
@@ -19,8 +22,8 @@
 //! count.
 
 use gc_bench::{print_table, write_artifact};
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
-use gc_method::{Dataset, SiMethod};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
+use gc_method::{execute_base, Dataset, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 use std::sync::Arc;
@@ -67,18 +70,26 @@ fn main() {
     let config = CacheConfig { capacity: 64, window_size: 8, ..CacheConfig::default() };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // --- sequential baseline + reference answers ----------------------------
-    let mut seq = GraphCache::with_policy(
+    // --- reference answers: Method M alone ------------------------------------
+    let expected: Vec<gc_graph::BitSet> = workload
+        .queries
+        .iter()
+        .map(|wq| execute_base(&dataset, &SiMethod, config.engine, &wq.graph, wq.kind).answer)
+        .collect();
+
+    // --- baseline: one shard, one client ----------------------------------------
+    let seq = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        config.clone(),
+        CacheConfig { shards: 1, ..config.clone() },
     )
     .expect("valid config");
     let t0 = Instant::now();
-    let expected: Vec<gc_graph::BitSet> =
+    let answers: Vec<gc_graph::BitSet> =
         workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect();
     let seq_elapsed = t0.elapsed().as_secs_f64();
+    assert!(answers == expected, "one-shard answers diverged from Method M");
     let seq_qps = n_queries as f64 / seq_elapsed.max(1e-9);
 
     let mut points = vec![ThroughputPoint {
@@ -98,7 +109,7 @@ fn main() {
         "1.00x".to_string(),
     ]];
 
-    // --- shared front-end at increasing client counts -----------------------
+    // --- sharded cache at increasing client counts ---------------------------
     for clients in [1usize, 2, 4, 8] {
         let gc = SharedGraphCache::with_policy(
             dataset.clone(),
@@ -132,7 +143,7 @@ fn main() {
             handles.into_iter().map(|h| h.join().expect("client panicked")).sum()
         });
         let elapsed = t0.elapsed().as_secs_f64();
-        assert_eq!(mismatches, 0, "shared answers diverged from sequential replay");
+        assert_eq!(mismatches, 0, "shared answers diverged from Method M");
         let qps = n_queries as f64 / elapsed.max(1e-9);
         points.push(ThroughputPoint {
             mode: "shared".into(),
@@ -157,7 +168,7 @@ fn main() {
          {n_queries} queries, {cores} core(s)) ===\n"
     );
     print_table(&["mode", "clients", "wall time", "throughput", "vs sequential"], &rows);
-    println!("\nall shared-mode answers verified bit-identical to the sequential replay");
+    println!("\nall answers verified bit-identical to Method M alone");
     if cores < 8 {
         println!(
             "note: only {cores} core(s) available — thread scaling is bounded by hardware, \

@@ -1,6 +1,7 @@
 //! # gc-bench — experiment harness for the GC reproduction
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §3):
+//! One binary per table/figure of the paper, plus the extension
+//! experiments:
 //!
 //! | binary | paper artefact |
 //! |---|---|
@@ -22,7 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gc_core::{CacheConfig, GlobalStats, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, GlobalStats, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Method, QueryKind};
 use gc_workload::Workload;
 use serde::Serialize;
@@ -78,7 +79,8 @@ pub fn run_base(dataset: &Arc<Dataset>, method: &dyn Method, workload: &Workload
     }
 }
 
-/// Run the workload through GraphCache with the given policy.
+/// Run the workload through GraphCache with the given policy, on one
+/// single cache (`config` with one shard) driven by one client.
 pub fn run_cached(
     dataset: &Arc<Dataset>,
     method: Box<dyn Method>,
@@ -87,7 +89,8 @@ pub fn run_cached(
     workload: &Workload,
     base: &BaseAggregate,
 ) -> CachedAggregate {
-    let mut gc = GraphCache::with_policy(dataset.clone(), method, policy, config.clone())
+    let config = CacheConfig { shards: 1, ..config.clone() };
+    let gc = SharedGraphCache::with_policy(dataset.clone(), method, policy, config)
         .expect("valid config");
     for wq in &workload.queries {
         gc.query(&wq.graph, wq.kind);

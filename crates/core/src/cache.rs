@@ -81,8 +81,8 @@ impl CacheManager {
     }
 
     /// Insert a new entry; returns its id. Extracts the entry's features
-    /// here — prefer [`CacheManager::insert_with_features`] when the
-    /// pipeline already extracted them for the probe stage.
+    /// and fingerprint here — prefer [`CacheManager::insert_with_features`]
+    /// when the pipeline already computed them.
     pub fn insert(
         &mut self,
         graph: Graph,
@@ -93,14 +93,24 @@ impl CacheManager {
         now: u64,
     ) -> EntryId {
         let features = self.index.features_of(&graph);
-        self.insert_with_features(graph, kind, answer, base_tests, base_cost, now, features)
+        let fingerprint = gc_graph::hash::fingerprint(&graph);
+        self.insert_with_features(
+            graph,
+            kind,
+            answer,
+            base_tests,
+            base_cost,
+            now,
+            features,
+            fingerprint,
+        )
     }
 
-    /// Insert a new entry whose feature vector was already extracted (by
-    /// [`gc_index::QueryIndex::features_of`] under this cache's config):
-    /// the admit stage passes the probe stage's extraction, keeping the
-    /// one-extraction-per-query invariant.
-    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the precomputed vector
+    /// Insert a new entry whose feature vector (from
+    /// [`gc_index::QueryIndex::features_of`] under this cache's config) and
+    /// WL fingerprint were already computed: the admit stage passes the
+    /// query's, keeping each computed once per query.
+    #[allow(clippy::too_many_arguments)] // mirrors `insert` + the precomputed values
     pub fn insert_with_features(
         &mut self,
         graph: Graph,
@@ -110,8 +120,8 @@ impl CacheManager {
         base_cost: u64,
         now: u64,
         features: gc_index::FeatureVec,
+        fingerprint: u64,
     ) -> EntryId {
-        let fingerprint = gc_graph::hash::fingerprint(&graph);
         let profile = gc_iso::GraphProfile::new(&graph, None);
         let id = match self.free.pop() {
             Some(id) => id,
@@ -238,6 +248,7 @@ mod tests {
             10,
             0,
             fv,
+            gc_graph::hash::fingerprint(&graph),
         );
         assert_eq!(ida, idb);
         let qf = a.index().features_of(&g(&[0, 1], &[(0, 1)]));

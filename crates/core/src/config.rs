@@ -4,7 +4,7 @@ use gc_index::{FeatureConfig, IndexTuning};
 use gc_method::Engine;
 use gc_store::FsyncPolicy;
 
-/// Tunables of a [`crate::GraphCache`] instance.
+/// Tunables of a [`crate::SharedGraphCache`] instance.
 ///
 /// Defaults follow the demo deployment (paper §3: cache of 50 executed
 /// queries, window batches of 10) with budgets sized so cache probing can
@@ -16,8 +16,8 @@ pub struct CacheConfig {
     /// Admission window size: executed queries are buffered and admitted in
     /// batches of this many (Window Manager).
     pub window_size: usize,
-    /// Maximum sub-case hit candidates to *verify* per query (budget knob of
-    /// DESIGN.md §6).
+    /// Maximum sub-case hit candidates to *verify* per query (a probe
+    /// budget knob: it bounds what probing can cost a query).
     pub max_sub_checks: usize,
     /// Maximum super-case hit candidates to verify per query.
     pub max_super_checks: usize,
@@ -32,7 +32,12 @@ pub struct CacheConfig {
     pub index_tuning: IndexTuning,
     /// Verifier engine.
     pub engine: Engine,
-    /// Worker threads for candidate verification (1 = sequential).
+    /// Parallelism switch. 1 verifies candidates and probes shards inline
+    /// on the querying thread. Any value above 1 sends verification (of
+    /// candidate sets of at least `parallel_threshold`) and, with more than
+    /// one shard, the shard probes to the process-wide
+    /// [`crate::parallel::global_pool`], which is sized by the machine's
+    /// available parallelism, not by this value.
     pub threads: usize,
     /// Admission filter: only cache queries whose execution performed at
     /// least this many sub-iso tests (cheap queries cannot repay their cache
@@ -47,19 +52,18 @@ pub struct CacheConfig {
     /// side of the kernel's "resource management (memory and threads)". The
     /// entry-count `capacity` still applies independently.
     pub max_bytes: Option<usize>,
-    /// Shard count of the concurrent front-end
-    /// ([`crate::SharedGraphCache`]): cache state is split into this many
-    /// independently-locked shards (queries are routed by graph
-    /// fingerprint). More shards → less write contention, slightly more
-    /// probe fan-out. Ignored by the sequential [`crate::GraphCache`].
-    /// Must be in `1..=256`.
+    /// Shard count of the runtime ([`crate::SharedGraphCache`]): cache
+    /// state is split into this many independently-locked shards (queries
+    /// are routed by graph fingerprint). More shards → less write
+    /// contention, slightly more probe fan-out. 1 is the paper's single cache: one index, one
+    /// admission window, one policy over all entries. Must be in `1..=256`.
     pub shards: usize,
     /// Persistence: automatically write a snapshot (and rotate the
     /// journal) after this many admissions, when a
     /// [`gc_store::CacheStore`] is attached. `None` disables the
     /// admission-count trigger (snapshots then happen only on explicit
-    /// [`crate::GraphCache::snapshot_to`] calls, the journal-size trigger,
-    /// or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
+    /// [`crate::SharedGraphCache::snapshot_now`] calls, the journal-size
+    /// trigger, or a [`crate::persist::Snapshotter`]). Must be > 0 when set.
     pub snapshot_interval: Option<u64>,
     /// Persistence: automatically snapshot once the append-only journal
     /// exceeds this many bytes, bounding both journal replay time and the

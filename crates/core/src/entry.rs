@@ -37,8 +37,8 @@ impl EntryStats {
 
 /// A cached query: the query graph, its kind, and its full answer set.
 ///
-/// Serializable so cache contents can be exported and re-imported across
-/// sessions (warm starts); see [`crate::GraphCache::export_entries`].
+/// Serializable, so cache contents can be exported for inspection. Warm
+/// starts persist entries through [`crate::persist`] instead.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CacheEntry {
     /// Entry id (slab slot).

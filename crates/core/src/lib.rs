@@ -1,7 +1,7 @@
 //! # gc-core — the GraphCache kernel
 //!
 //! This crate implements the paper's Kernel subsystem (Fig. 1) as a
-//! **staged query pipeline** with two front-ends:
+//! **staged query pipeline** under one Query Processing Runtime:
 //!
 //! * [`pipeline`] — the five explicit stages every query passes through
 //!   (Fig. 3): [`pipeline::filter`] computes Method M's candidate set
@@ -11,12 +11,11 @@
 //!   testing (inline or pooled); [`pipeline::admit`] credits hits, admits
 //!   the query and runs the batched replacement sweep. A
 //!   [`pipeline::PipelineCtx`] carries one query through the stages;
-//! * [`GraphCache`] — the sequential Query Processing Runtime: a thin
-//!   `&mut self` composition of the stages over directly-owned state;
-//! * [`SharedGraphCache`] — the concurrent front-end: the same stages over
+//! * [`SharedGraphCache`] — the Query Processing Runtime: the stages over
 //!   *sharded* state behind `parking_lot::RwLock`s, `&self` queries from
-//!   any number of threads, lock-free statistics, and verification batched
-//!   onto the process-wide [`parallel::global_pool`].
+//!   any number of threads, lock-free statistics, and (with `threads > 1`)
+//!   verification batched onto the process-wide [`parallel::global_pool`].
+//!   `shards: 1` gives the paper's single cache with one admission window.
 //!
 //! Supporting components:
 //!
@@ -33,19 +32,19 @@
 //! * [`CostModel`] — atomic per-graph verification-cost EWMA feeding the
 //!   cost-aware policies;
 //! * [`persist`] — durable cache state: snapshot + journal persistence
-//!   over [`gc_store`] ([`GraphCache::snapshot_to`] /
-//!   [`GraphCache::restore_from`], journal hooks in the admit stage, a
-//!   periodic [`Snapshotter`] for [`SharedGraphCache`]), so warm hit
-//!   ratios survive restarts and deploys.
+//!   over [`gc_store`] ([`SharedGraphCache::attach_store`] /
+//!   [`SharedGraphCache::restore_from`], journal hooks after the admit
+//!   stage, a periodic [`Snapshotter`]), so warm hit ratios survive
+//!   restarts and deploys.
 //!
 //! ## Correctness
 //!
 //! GraphCache returns *exactly* the answer set Method M alone would return
 //! (no false positives/negatives — paper §1, "Problem (2)"). This invariant
 //! is enforced by integration tests and property tests comparing against
-//! [`gc_method::execute_base`] on randomized workloads — including
-//! [`SharedGraphCache`] under multi-threaded interleavings (`tests/prop.rs`
-//! at the workspace root).
+//! [`gc_method::execute_base`] on randomized workloads, for one and many
+//! shards and under multi-threaded interleavings (`tests/prop.rs` at the
+//! workspace root).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -75,7 +74,7 @@ pub use entry::{CacheEntry, EntryId, EntryStats};
 pub use persist::{
     CacheStore, FsyncPolicy, LoadOutcome, PersistHealth, RecoveryReport, SnapshotInfo, Snapshotter,
 };
-pub use pipeline::probe::{find_exact, probe, CacheHits, Hit, Relation};
+pub use pipeline::probe::{find_exact, find_exact_fp, probe, CacheHits, Hit, Relation};
 pub use pipeline::prune::{prune, Pruned};
 pub use pipeline::PipelineCtx;
 pub use policy::{HitCredit, HitKind, Policy, PolicyKind, ReplacementPolicy};
@@ -85,18 +84,3 @@ pub use stats::{GlobalStats, StatsMonitor};
 pub use telemetry::{
     Histogram, HistogramSnapshot, PipelineStage, QueryTiming, QueryTrace, Telemetry,
 };
-
-mod runtime;
-pub use runtime::GraphCache;
-
-/// Backwards-compatible alias of the probe stage's hit-detection module
-/// (pre-pipeline layout); prefer [`pipeline::probe`].
-pub mod hits {
-    pub use crate::pipeline::probe::{find_exact, probe, CacheHits, Hit, Relation};
-}
-
-/// Backwards-compatible alias of the prune stage (pre-pipeline layout);
-/// prefer [`pipeline::prune`].
-pub mod pruner {
-    pub use crate::pipeline::prune::{prune, Pruned};
-}

@@ -57,12 +57,13 @@ pub(crate) struct AnswerMemo {
     len: usize,
 }
 
-fn memo_key(query: &Graph, kind: QueryKind) -> u64 {
+/// Memo key of a query with WL fingerprint `fp`.
+fn memo_key(fp: u64, kind: QueryKind) -> u64 {
     let tag = match kind {
         QueryKind::Subgraph => 0x5355_4251,   // "SUBQ"
         QueryKind::Supergraph => 0x5355_5051, // "SUPQ"
     };
-    gc_graph::hash::mix(gc_graph::hash::fingerprint(query), tag)
+    gc_graph::hash::mix(fp, tag)
 }
 
 impl AnswerMemo {
@@ -88,9 +89,11 @@ impl AnswerMemo {
         }
     }
 
-    /// Look up the exact answer for `query` at dataset `generation`.
+    /// Look up the exact answer for `query` (WL fingerprint `fp`) at
+    /// dataset `generation`.
     pub(crate) fn lookup(
         &mut self,
+        fp: u64,
         query: &Graph,
         kind: QueryKind,
         generation: u64,
@@ -99,16 +102,18 @@ impl AnswerMemo {
             return None;
         }
         self.sync_generation(generation);
-        let slots = self.map.get(&memo_key(query, kind))?;
+        let slots = self.map.get(&memo_key(fp, kind))?;
         slots
             .iter()
             .find(|s| s.kind == kind && gc_iso::iso::are_isomorphic(&s.graph, query))
             .map(|s| MemoHit { answer: s.answer.clone(), base_tests: s.base_tests })
     }
 
-    /// Store a freshly executed query's exact answer at `generation`.
+    /// Store a freshly executed query's (WL fingerprint `fp`) exact answer
+    /// at `generation`.
     pub(crate) fn store(
         &mut self,
+        fp: u64,
         query: &Graph,
         kind: QueryKind,
         answer: &BitSet,
@@ -119,7 +124,7 @@ impl AnswerMemo {
             return;
         }
         self.sync_generation(generation);
-        let key = memo_key(query, kind);
+        let key = memo_key(fp, kind);
         if let Some(slots) = self.map.get(&key) {
             if slots.iter().any(|s| s.kind == kind && gc_iso::iso::are_isomorphic(&s.graph, query))
             {
@@ -164,29 +169,33 @@ mod tests {
         graph_from_parts(&ls, edges).unwrap()
     }
 
+    fn fp(q: &Graph) -> u64 {
+        gc_graph::hash::fingerprint(q)
+    }
+
     #[test]
     fn memoizes_and_confirms_isomorphism() {
         let mut memo = AnswerMemo::new(4);
         let q = g(&[0, 1], &[(0, 1)]);
         let answer = BitSet::from_indices(4, [1usize, 3]);
-        assert!(memo.lookup(&q, QueryKind::Subgraph, 0).is_none());
-        memo.store(&q, QueryKind::Subgraph, &answer, 7, 0);
+        assert!(memo.lookup(fp(&q), &q, QueryKind::Subgraph, 0).is_none());
+        memo.store(fp(&q), &q, QueryKind::Subgraph, &answer, 7, 0);
         // Isomorphic relabeling of the same query hits.
         let q_iso = g(&[1, 0], &[(0, 1)]);
-        let hit = memo.lookup(&q_iso, QueryKind::Subgraph, 0).expect("memo hit");
+        let hit = memo.lookup(fp(&q_iso), &q_iso, QueryKind::Subgraph, 0).expect("memo hit");
         assert_eq!(hit.answer, answer);
         assert_eq!(hit.base_tests, 7);
         // Other kind misses.
-        assert!(memo.lookup(&q, QueryKind::Supergraph, 0).is_none());
+        assert!(memo.lookup(fp(&q), &q, QueryKind::Supergraph, 0).is_none());
     }
 
     #[test]
     fn generation_bump_invalidates_everything() {
         let mut memo = AnswerMemo::new(4);
         let q = g(&[0], &[]);
-        memo.store(&q, QueryKind::Subgraph, &BitSet::from_indices(2, [0usize]), 2, 0);
-        assert!(memo.lookup(&q, QueryKind::Subgraph, 0).is_some());
-        assert!(memo.lookup(&q, QueryKind::Subgraph, 1).is_none(), "new generation misses");
+        memo.store(fp(&q), &q, QueryKind::Subgraph, &BitSet::from_indices(2, [0usize]), 2, 0);
+        assert!(memo.lookup(fp(&q), &q, QueryKind::Subgraph, 0).is_some());
+        assert!(memo.lookup(fp(&q), &q, QueryKind::Subgraph, 1).is_none(), "new generation misses");
         assert_eq!(memo.len(), 0, "stale slots dropped");
     }
 
@@ -194,16 +203,18 @@ mod tests {
     fn capacity_bounds_and_zero_disables() {
         let mut memo = AnswerMemo::new(2);
         for i in 0..5u32 {
-            memo.store(&g(&[i], &[]), QueryKind::Subgraph, &BitSet::new(1), 1, 0);
+            let q = g(&[i], &[]);
+            memo.store(fp(&q), &q, QueryKind::Subgraph, &BitSet::new(1), 1, 0);
         }
         assert!(memo.len() <= 2);
         // The newest entries survive FIFO eviction.
-        assert!(memo.lookup(&g(&[4], &[]), QueryKind::Subgraph, 0).is_some());
-        assert!(memo.lookup(&g(&[0], &[]), QueryKind::Subgraph, 0).is_none());
+        let (newest, oldest) = (g(&[4], &[]), g(&[0], &[]));
+        assert!(memo.lookup(fp(&newest), &newest, QueryKind::Subgraph, 0).is_some());
+        assert!(memo.lookup(fp(&oldest), &oldest, QueryKind::Subgraph, 0).is_none());
 
         let mut off = AnswerMemo::new(0);
-        off.store(&g(&[0], &[]), QueryKind::Subgraph, &BitSet::new(1), 1, 0);
-        assert!(off.lookup(&g(&[0], &[]), QueryKind::Subgraph, 0).is_none());
+        off.store(fp(&oldest), &oldest, QueryKind::Subgraph, &BitSet::new(1), 1, 0);
+        assert!(off.lookup(fp(&oldest), &oldest, QueryKind::Subgraph, 0).is_none());
         assert_eq!(off.len(), 0);
     }
 
@@ -211,8 +222,9 @@ mod tests {
     fn duplicate_store_is_idempotent() {
         let mut memo = AnswerMemo::new(4);
         let q = g(&[0, 1], &[(0, 1)]);
-        memo.store(&q, QueryKind::Subgraph, &BitSet::new(2), 1, 0);
-        memo.store(&g(&[1, 0], &[(0, 1)]), QueryKind::Subgraph, &BitSet::new(2), 1, 0);
+        let q_iso = g(&[1, 0], &[(0, 1)]);
+        memo.store(fp(&q), &q, QueryKind::Subgraph, &BitSet::new(2), 1, 0);
+        memo.store(fp(&q_iso), &q_iso, QueryKind::Subgraph, &BitSet::new(2), 1, 0);
         assert_eq!(memo.len(), 1, "isomorphic duplicate not stored twice");
     }
 }

@@ -6,12 +6,11 @@
 //!
 //! * [`verify_candidates`] — scoped threads spawned per call; zero standing
 //!   resources, fine for occasional heavyweight queries;
-//! * [`VerifyPool`] — a persistent worker pool fed over an MPMC job queue;
-//!   per-instance pools are used by the sequential runtime when
-//!   `threads > 1` so the per-query spawn cost (hundreds of microseconds)
-//!   cannot eat the savings on cheap queries;
-//! * [`global_pool`] — the **process-wide** pool shared by every
-//!   [`crate::SharedGraphCache`]: concurrent queries from many client
+//! * [`VerifyPool`] — a persistent worker pool fed over an MPMC job queue,
+//!   so the per-query spawn cost (hundreds of microseconds) cannot eat the
+//!   savings on cheap queries;
+//! * [`global_pool`] — the **process-wide** [`VerifyPool`] shared by every
+//!   [`crate::SharedGraphCache`] with `threads > 1`: concurrent queries from many client
 //!   threads batch their verification work onto one fixed set of workers
 //!   sized to the machine, so `N clients × M workers` cannot oversubscribe
 //!   the CPU.

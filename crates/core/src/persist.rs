@@ -4,7 +4,7 @@
 //! The on-disk formats live in [`gc_store`]; this module converts between
 //! the kernel's live types ([`CacheEntry`], [`GlobalStats`],
 //! [`crate::CostModel`]) and the store's portable records, and implements
-//! the *replay* algorithm both runtimes share:
+//! the *replay* algorithm of a restore:
 //!
 //! 1. every snapshot entry is re-admitted through the cache's **normal
 //!    insert path** (features, fingerprints, profiles and indexes are all
@@ -16,7 +16,7 @@
 //!    journal's originating id maps to. Replay is *order-tolerant*: an
 //!    eviction whose target never appeared is skipped and a duplicate
 //!    admission (exact match already cached) is skipped — both can occur
-//!    under the sharded front-end's relaxed append ordering, and both are
+//!    under the relaxed append ordering of concurrent queries, and both are
 //!    sound because every record carries a complete verified answer set;
 //! 3. the caller enforces capacity with a final replacement sweep and
 //!    immediately rotates the store, so the new process's journal is never
@@ -196,7 +196,7 @@ pub(crate) fn stats_from_records(records: &[(String, u64)]) -> GlobalStats {
 // ---- snapshot assembly -------------------------------------------------------
 
 /// Assemble a [`SnapshotDoc`] from runtime state. `entries` must yield every
-/// live entry (the sharded front-end passes encoded ids via the entries it
+/// live entry (the runtime passes shard-encoded ids via the entries it
 /// clones under per-shard read locks).
 pub(crate) fn build_doc<'a>(
     dataset: &Dataset,
@@ -248,8 +248,8 @@ pub(crate) struct ReplayCounts {
     pub max_now: u64,
 }
 
-/// Where replayed records land: the sequential runtime's `(cache, policy)`
-/// pair or one write-locked shard per entry of the concurrent front-end.
+/// Where replayed records land: the runtime routes each entry to its home
+/// shard and write-locks that shard for the insert.
 pub(crate) trait ReplayTarget {
     /// Re-admit one entry through the normal insert path; returns the key
     /// evictions reference it by (`None` = skipped, e.g. an exact
@@ -261,8 +261,8 @@ pub(crate) trait ReplayTarget {
 
 /// Replay `state` into `target`.
 ///
-/// The originating-id → key map lives here so both runtimes share the
-/// order-tolerant semantics documented on the module.
+/// The originating-id → key map lives here, with the order-tolerant
+/// semantics documented on the module.
 pub(crate) fn replay(
     state: &RecoveredState,
     universe: usize,
@@ -340,8 +340,7 @@ pub(crate) fn replay(
 /// - `Disabled` — the configured probe budget
 ///   ([`crate::CacheConfig::persist_max_probes`]) was exhausted;
 ///   persistence stays off until a manual
-///   [`crate::GraphCache::snapshot_now`] (or the shared equivalent)
-///   succeeds.
+///   [`crate::SharedGraphCache::snapshot_now`] succeeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistHealth {
     /// Durability active.
@@ -385,7 +384,7 @@ struct ProbeState {
     backoff: Duration,
 }
 
-/// Shared health bookkeeping both runtimes consult on their journal path.
+/// Health bookkeeping the runtime consults on its journal path.
 /// Counters are atomics (read on every `stats()` call); probe scheduling
 /// sits behind a mutex touched only while degraded.
 pub(crate) struct StoreHealth {
@@ -534,7 +533,7 @@ pub(crate) fn due_for_rotation(
 ///
 /// `admits_since_snapshot` is the caller's post-increment counter value;
 /// entry ids are journaled exactly as the caller reports them
-/// (shard-encoded for the concurrent front-end).
+/// (shard-encoded by the runtime).
 #[allow(clippy::too_many_arguments)] // mirrors the admit stage's query facts
 pub(crate) fn journal_outcome(
     store: &CacheStore,

@@ -1,17 +1,16 @@
 //! Stage 5 — **Admit**: hit crediting, admission and the batched
 //! replacement sweep (Statistics Manager + Window Manager).
 //!
-//! The only stage that *mutates* cache state, so it is where the sharded
-//! front-end takes its short write sections. Everything here operates on an
-//! explicit `(CacheManager, ReplacementPolicy, WindowManager)` triple rather
-//! than on `GraphCache` fields: the sequential runtime passes its own, the
-//! sharded front-end passes one shard's, under that shard's write lock.
+//! The only stage that *mutates* cache state, so it is where the runtime
+//! takes its short write sections. Everything here operates on an explicit
+//! `(CacheManager, ReplacementPolicy, WindowManager)` triple: the runtime
+//! passes one shard's, under that shard's write lock.
 //!
-//! Unlike the pre-pipeline runtime, crediting tolerates hit entries that
-//! died between probing and crediting (a concurrent eviction): the credit is
-//! simply dropped. Sequentially this cannot happen; concurrently it is the
-//! correct degradation (the hit's *answers* were already snapshotted, so
-//! correctness is unaffected — only a utility update is lost).
+//! Crediting tolerates hit entries that died between probing and crediting
+//! (a concurrent eviction): the credit is simply dropped. With one client
+//! this cannot happen; concurrently it is the correct degradation (the
+//! hit's *answers* were already snapshotted, so correctness is unaffected —
+//! only a utility update is lost).
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
@@ -31,13 +30,6 @@ pub struct AdmitLimits {
     pub capacity: usize,
     /// Optional byte budget (entries + index).
     pub max_bytes: Option<usize>,
-}
-
-impl AdmitLimits {
-    /// Limits of an unsharded cache, straight from its config.
-    pub fn from_config(cfg: &CacheConfig) -> Self {
-        AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes }
-    }
 }
 
 /// Outcome of the admit stage.
@@ -129,10 +121,9 @@ pub fn serve_exact(
 /// when the admission window closes.
 ///
 /// `features` is the query's feature vector the probe stage already
-/// extracted (`PipelineCtx::features`, taken by the caller) — admission
-/// reuses it instead of re-enumerating the query's paths, so features are
-/// extracted exactly once per query. `None` falls back to extraction (warm
-/// starts, tests).
+/// extracted (`PipelineCtx::features`, taken by the caller) and
+/// `fingerprint` its WL fingerprint — admission reuses both instead of
+/// recomputing them, so each is computed exactly once per query.
 #[allow(clippy::too_many_arguments)] // explicit state triple + query facts; a struct would just rename them
 pub fn run(
     cache: &mut CacheManager,
@@ -142,7 +133,8 @@ pub fn run(
     limits: AdmitLimits,
     query: &Graph,
     kind: QueryKind,
-    features: Option<gc_index::FeatureVec>,
+    features: gc_index::FeatureVec,
+    fingerprint: u64,
     answer: &BitSet,
     base_tests: u64,
     base_cost: u64,
@@ -151,18 +143,16 @@ pub fn run(
     if (base_tests as usize) < cfg.min_admit_tests {
         return AdmitOutcome { rejected: true, ..AdmitOutcome::default() };
     }
-    let id = match features {
-        Some(fv) => cache.insert_with_features(
-            query.clone(),
-            kind,
-            answer.clone(),
-            base_tests,
-            base_cost,
-            now,
-            fv,
-        ),
-        None => cache.insert(query.clone(), kind, answer.clone(), base_tests, base_cost, now),
-    };
+    let id = cache.insert_with_features(
+        query.clone(),
+        kind,
+        answer.clone(),
+        base_tests,
+        base_cost,
+        now,
+        features,
+        fingerprint,
+    );
     let bytes = cache.get(id).expect("just inserted").memory_bytes();
     policy.on_insert_sized(id, now, bytes);
     let mut evicted = Vec::new();
@@ -216,6 +206,10 @@ mod tests {
         (cache, policy, window, cfg, CostModel::new(&ds))
     }
 
+    fn limits(cfg: &CacheConfig) -> AdmitLimits {
+        AdmitLimits { capacity: cfg.capacity, max_bytes: cfg.max_bytes }
+    }
+
     fn admit_one(
         cache: &mut CacheManager,
         policy: &mut Policy,
@@ -224,15 +218,18 @@ mod tests {
         labels: &[u32],
         now: u64,
     ) -> AdmitOutcome {
+        let q = g(labels, &[]);
+        let features = cache.index().features_of(&q);
         run(
             cache,
             policy,
             window,
             cfg,
-            AdmitLimits::from_config(cfg),
-            &g(labels, &[]),
+            limits(cfg),
+            &q,
             QueryKind::Subgraph,
-            None,
+            features,
+            gc_graph::hash::fingerprint(&q),
             &BitSet::new(2),
             5,
             10,
@@ -259,15 +256,18 @@ mod tests {
     fn admission_filter_rejects_cheap_queries() {
         let (mut cache, mut policy, mut window, cfg, _) = setup();
         let cfg = CacheConfig { min_admit_tests: 100, ..cfg };
+        let q = g(&[0], &[]);
+        let features = cache.index().features_of(&q);
         let out = run(
             &mut cache,
             &mut policy,
             &mut window,
             &cfg,
-            AdmitLimits::from_config(&cfg),
-            &g(&[0], &[]),
+            limits(&cfg),
+            &q,
             QueryKind::Subgraph,
-            None,
+            features,
+            gc_graph::hash::fingerprint(&q),
             &BitSet::new(2),
             5,
             10,

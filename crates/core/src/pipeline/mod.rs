@@ -18,14 +18,9 @@
 //!
 //! A [`PipelineCtx`] carries one query through the stages, accumulating each
 //! stage's product. The stages take their dependencies (cache manager,
-//! policy, pools) as explicit arguments rather than through `GraphCache`, so
-//! the same stage code serves both front-ends:
-//!
-//! * [`crate::GraphCache`] — sequential composition, `&mut self`, state
-//!   borrowed directly;
-//! * [`crate::SharedGraphCache`] — concurrent composition, `&self`, cache
-//!   state sharded behind `parking_lot::RwLock` with probes under read
-//!   locks and admission under short write sections.
+//! policy, pools) as explicit arguments; [`crate::SharedGraphCache`]
+//! composes them over cache state sharded behind `parking_lot::RwLock`,
+//! with probes under read locks and admission under short write sections.
 
 pub mod admit;
 pub mod filter;
@@ -68,17 +63,16 @@ pub struct PipelineCtx<'q> {
     /// admission (`None` until probed; taken by the admit stage).
     pub features: Option<FeatureVec>,
     /// Reusable probe-stage buffers (candidate selection, utility
-    /// ordering, verifier search state). Owned by the runtime — the
-    /// sequential cache keeps one instance and the concurrent front-end
-    /// one per thread — and swapped into the context for the query's
+    /// ordering, verifier search state). Owned by the runtime, one per
+    /// client thread, and swapped into the context for the query's
     /// lifetime, so the probe stage allocates nothing in steady state.
     pub probe_scratch: ProbeScratch,
     /// Stage 2 product: verified cache hits.
     pub hits: CacheHits,
-    /// Stage 2 product: answer snapshots aligned with `hits.iter()` order
-    /// in the sequential runtime (the sharded front-end stores them in
-    /// probe-discovery order; only [`prune`], which is order-insensitive,
-    /// consumes them from the context).
+    /// Stage 2 product: answer snapshots in probe-discovery order, shard by
+    /// shard (each shard's run aligned with its hits' `iter()` order; only
+    /// [`prune`], which is order-insensitive, consumes them from the
+    /// context).
     pub hit_answers: Vec<(Relation, BitSet)>,
     /// Stage 3 product: definite answers `S` and reduced set `C`.
     pub pruned: Pruned,

@@ -21,7 +21,6 @@
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
 use crate::entry::EntryId;
-use crate::pipeline::PipelineCtx;
 use gc_graph::{BitSet, Graph};
 use gc_index::CandScratch;
 use gc_iso::{Found, GraphProfile, ProfileRef, VerifyCtx, VfScratch};
@@ -29,11 +28,11 @@ use gc_method::QueryKind;
 
 /// Reusable probe-stage state: the containment-index probe buffers, the
 /// filtered + utility-ordered candidate lists, and the verifier scratch for
-/// the budgeted confirmation tests. Lives in [`PipelineCtx::probe_scratch`]
-/// but is *owned* by the runtime (the sequential cache keeps one, the
-/// concurrent front-end one per thread) and swapped into each query's
-/// context, so the steady-state candidate-selection path allocates nothing
-/// (pinned by `tests/probe_alloc.rs`).
+/// the budgeted confirmation tests. Lives in
+/// [`crate::PipelineCtx::probe_scratch`] but is *owned* by the runtime (one
+/// per client thread) and swapped into each query's context, so the
+/// steady-state candidate-selection path allocates nothing (pinned by
+/// `tests/probe_alloc.rs`).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     /// Sub/super containment probe state (shared with `gc_index`).
@@ -101,7 +100,7 @@ impl CacheHits {
         self.sub.len() + self.super_.len()
     }
 
-    /// Absorb another probe result (used by the sharded front-end to merge
+    /// Absorb another probe result (used by the runtime to merge
     /// per-shard hits; entry-id namespaces are the caller's concern).
     pub fn merge(&mut self, other: CacheHits) {
         self.exact = self.exact.or(other.exact);
@@ -114,17 +113,27 @@ impl CacheHits {
 
 /// Find the exact-match entry for `query`, if cached (same kind).
 pub fn find_exact(cache: &CacheManager, query: &Graph, kind: QueryKind) -> Option<EntryId> {
-    let fp = gc_graph::hash::fingerprint(query);
+    find_exact_fp(cache, gc_graph::hash::fingerprint(query), query, kind)
+}
+
+/// [`find_exact`] for a caller that already holds `query`'s WL fingerprint
+/// `fp`. A bucket match is still confirmed by exact isomorphism.
+pub fn find_exact_fp(
+    cache: &CacheManager,
+    fp: u64,
+    query: &Graph,
+    kind: QueryKind,
+) -> Option<EntryId> {
     cache.fingerprint_bucket(fp).iter().copied().find(|&id| {
         let e = cache.get(id).expect("bucket holds live entries");
         e.kind == kind && gc_iso::iso::are_isomorphic(&e.graph, query)
     })
 }
 
-/// Probe the cache for sub-case and super-case hits of `query`, exact-match
-/// check included (the sequential entry point; kept for tests and
-/// dashboards). Extracts the query features and builds the query profile
-/// itself; pipeline callers use [`probe_cases`] with the context's shared
+/// Probe one cache manager for sub-case and super-case hits of `query`,
+/// exact-match check included (a standalone entry point for tests and
+/// tools). Extracts the query features and builds the query profile
+/// itself; the runtime uses [`probe_cases`] with the context's shared
 /// extraction and scratch.
 pub fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: QueryKind) -> CacheHits {
     if let Some(exact) = find_exact(cache, query, kind) {
@@ -147,7 +156,7 @@ pub fn probe(cache: &CacheManager, cfg: &CacheConfig, query: &Graph, kind: Query
 /// For supergraph queries the utility direction flips with the semantics;
 /// ordering is adjusted accordingly.
 ///
-/// The sharded front-end calls this per shard (exact hits can only live in
+/// The runtime calls this per shard (exact hits can only live in
 /// the query's fingerprint home shard, which is checked separately), passing
 /// the **same** query feature vector `qf`, query profile and scratch to
 /// every shard — features and the verification profile are computed once
@@ -245,27 +254,6 @@ pub fn snapshot_answers(cache: &CacheManager, hits: &CacheHits) -> Vec<(Relation
             (h.relation, e.answer.clone())
         })
         .collect()
-}
-
-/// Run the probe stage over a single (unsharded) cache manager: extract the
-/// query's features **once** into the context (admission reuses them),
-/// build the query profile once, find hits through the context's reusable
-/// [`ProbeScratch`] and snapshot their answers into `ctx`.
-pub fn run(ctx: &mut PipelineCtx<'_>, cache: &CacheManager, cfg: &CacheConfig) {
-    debug_assert_eq!(
-        cache.index().config(),
-        &cfg.feature_config,
-        "cache index and config must agree on feature extraction"
-    );
-    if ctx.features.is_none() {
-        ctx.features = Some(cache.index().features_of(ctx.query));
-    }
-    let q_profile = GraphProfile::new(ctx.query, None);
-    let PipelineCtx { query, kind, features, probe_scratch, .. } = ctx;
-    let qf = features.as_ref().expect("just set");
-    let hits = probe_cases(cache, cfg, query, *kind, qf, q_profile.as_ref(), probe_scratch);
-    ctx.hit_answers = snapshot_answers(cache, &hits);
-    ctx.hits = hits;
 }
 
 #[cfg(test)]

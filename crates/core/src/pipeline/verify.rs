@@ -3,12 +3,12 @@
 //!
 //! The expensive stage. Builds the query's [`QueryProfile`] **once**, then
 //! dispatches to a [`VerifyPool`] when the candidate set is big enough to
-//! amortize the hand-off (the sequential runtime uses its per-instance pool;
-//! [`crate::SharedGraphCache`] passes the process-wide
-//! [`crate::parallel::global_pool`], batching verification work from all
-//! concurrent queries onto one CPU-sized worker set), and runs inline
-//! otherwise. Either way each worker reuses a thread-local
-//! [`gc_method::VfScratch`], so the per-candidate loop is allocation-free.
+//! amortize the hand-off ([`crate::SharedGraphCache`] passes the
+//! process-wide [`crate::parallel::global_pool`] when `threads > 1`,
+//! batching verification work from all concurrent queries onto one
+//! CPU-sized worker set), and runs inline otherwise. Either way each worker
+//! reuses a thread-local [`gc_method::VfScratch`], so the per-candidate
+//! loop is allocation-free.
 //! Also feeds the observed per-graph verification costs into the
 //! [`CostModel`] that PINC/HD rank by.
 

@@ -1,16 +1,17 @@
-//! The concurrent, sharded front-end: [`SharedGraphCache`].
+//! The Query Processing Runtime: [`SharedGraphCache`].
 //!
-//! [`crate::GraphCache`] is exclusively borrowed per query (`&mut self`),
-//! which caps a deployment at one in-flight query per cache. This front-end
-//! serves the same staged pipeline through `&self` so any number of client
-//! threads can query one cache concurrently:
+//! The one runtime of the kernel. It composes the staged pipeline
+//! ([`crate::pipeline`]) over cache state that `&self` queries from any
+//! number of threads can share:
 //!
 //! * **sharding** — cache state is split into [`CacheConfig::shards`]
 //!   independent shards, each `(CacheManager, WindowManager)` behind a
 //!   `parking_lot::RwLock` plus its own replacement-policy instance behind a
 //!   `Mutex`. A query graph's WL fingerprint picks its *home shard*
 //!   (admission and exact-match lookups touch only that shard; fingerprints
-//!   are isomorphism-invariant, so an exact duplicate always routes home);
+//!   are isomorphism-invariant, so an exact duplicate always routes home).
+//!   With `shards: 1` the whole cache is one shard and one window, which is
+//!   the paper's single-cache configuration;
 //! * **read-mostly probing** — the filter / probe / prune / verify stages
 //!   take only shard *read* locks (and hold them just long enough to
 //!   snapshot hit answers); write locks are taken for the two short
@@ -18,10 +19,10 @@
 //! * **lock-free accounting** — [`StatsMonitor`] and [`CostModel`] are
 //!   atomics-based, so statistics and cost observations never serialize
 //!   queries;
-//! * **shared verification** — heavyweight candidate verification is
-//!   dispatched to the process-wide [`crate::parallel::global_pool`], which
-//!   batches work from all concurrent queries onto one CPU-sized worker
-//!   set.
+//! * **shared verification** — with `threads > 1`, heavyweight candidate
+//!   verification is dispatched to the process-wide
+//!   [`crate::parallel::global_pool`], which batches work from all
+//!   concurrent queries onto one CPU-sized worker set.
 //!
 //! ## Correctness under concurrency
 //!
@@ -32,8 +33,9 @@
 //! a read lock, each of which is itself an exact answer set. Entries
 //! evicted between probing and crediting merely lose a utility update
 //! (credits are dropped for dead entries; see [`crate::pipeline::admit`]).
-//! The answer-set equivalence with the sequential runtime is
-//! property-tested in `tests/prop.rs` across all bundled policies.
+//! Answer equality with [`gc_method::execute_base`] is property-tested in
+//! `tests/prop.rs` across all bundled policies, shard counts and client
+//! counts.
 //!
 //! ## Entry-id namespaces
 //!
@@ -41,6 +43,7 @@
 //! ([`QueryReport::sub_hits`], evictions, …) are *encoded* as
 //! `shard << 24 | local` so they stay unique cache-wide; use
 //! [`SharedGraphCache::decode_entry_id`] to recover the shard and local id.
+//! Shard 0's encoded ids equal its local ids.
 
 use crate::cache::CacheManager;
 use crate::config::CacheConfig;
@@ -53,9 +56,8 @@ use crate::pipeline::probe::{CacheHits, ProbeScratch};
 use crate::pipeline::{self, filter, probe, prune, verify, PipelineCtx};
 use crate::policy::ReplacementPolicy;
 use crate::report::{IndexHealth, QueryReport};
-use crate::runtime::{finish_fast_path, pipeline_trace};
 use crate::stats::{GlobalStats, StatsMonitor};
-use crate::telemetry::{PipelineStage, QueryTiming, Telemetry};
+use crate::telemetry::{PipelineStage, QueryTiming, QueryTrace, Telemetry};
 use crate::window::WindowManager;
 use crate::PolicyKind;
 use gc_graph::{BitSet, Graph, GraphId};
@@ -153,8 +155,9 @@ struct Shard {
     policy: Mutex<Box<dyn ReplacementPolicy>>,
 }
 
-/// A concurrently-usable GraphCache: same pipeline, `&self` queries,
-/// byte-identical answers to the sequential runtime.
+/// The GraphCache kernel: a semantic cache layered over a base Method M,
+/// queried through `&self` from any number of threads. Every answer equals
+/// Method M's answer alone.
 ///
 /// ```
 /// use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
@@ -196,8 +199,8 @@ pub struct SharedGraphCache {
     shards: Arc<Vec<Shard>>,
     /// Per-shard admission limits; entry capacities sum to exactly
     /// `config.capacity` (base + 1 for the first `capacity % shards`
-    /// shards), so the shared cache retains no more entries than the
-    /// sequential runtime would. Shards with capacity 0 (when
+    /// shards), so a sharded cache retains no more entries than a
+    /// one-shard cache would. Shards with capacity 0 (when
     /// `capacity < shards`) still admit within a window but are emptied by
     /// every sweep.
     limits: Vec<AdmitLimits>,
@@ -287,7 +290,7 @@ impl SharedGraphCache {
 
     /// Process one query through the staged pipeline; callable from any
     /// number of threads concurrently. Returns the exact answer set plus
-    /// the Query-Journey anatomy, like the sequential runtime.
+    /// the full Query-Journey anatomy (Fig. 3).
     pub fn query(&self, query: &Graph, kind: QueryKind) -> QueryReport {
         self.query_traced(query, kind, None)
     }
@@ -304,6 +307,9 @@ impl SharedGraphCache {
     ) -> QueryReport {
         let start = Instant::now();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        // The WL fingerprint is computed once here and passed to every
+        // consumer: home routing, both exact-match checks, the memo, and
+        // admission.
         let fp = gc_graph::hash::fingerprint(query);
         let home = (fp % self.shards.len() as u64) as usize;
         let seq = self.telemetry.begin_query();
@@ -321,9 +327,9 @@ impl SharedGraphCache {
         // (where the entry is re-located — it may have been evicted, or its
         // slot reused, between the two locks).
         let maybe_exact =
-            probe::find_exact(&self.shards[home].state.read().cache, query, kind).is_some();
+            probe::find_exact_fp(&self.shards[home].state.read().cache, fp, query, kind).is_some();
         if maybe_exact {
-            if let Some(report) = self.serve_exact(home, query, kind, now, start) {
+            if let Some(report) = self.serve_exact(home, fp, query, kind, now, start) {
                 drop(data);
                 finish_fast_path(
                     &self.telemetry,
@@ -348,7 +354,7 @@ impl SharedGraphCache {
         // ---- answer-memo fast path (generation-versioned) -----------------
         let memo_hit = {
             let _span = self.telemetry.span(PipelineStage::Memo, &mut timing);
-            self.memo.lock().lookup(query, kind, generation)
+            self.memo.lock().lookup(fp, query, kind, generation)
         };
         if let Some(hit) = memo_hit {
             drop(data);
@@ -396,7 +402,7 @@ impl SharedGraphCache {
         // `threads > 1` and more than one shard, the probes fan out onto
         // the process-wide worker pool so the shard read sections overlap;
         // results are merged back *in shard order*, so the context — and
-        // therefore the answer — is identical to the sequential walk.
+        // therefore the answer — is identical to the inline shard walk.
         let mut per_shard: Vec<ShardProbe> = Vec::new();
         {
             let _span = self.telemetry.span(PipelineStage::Probe, &mut timing);
@@ -465,7 +471,7 @@ impl SharedGraphCache {
             let mut state = shard.state.write();
             // A concurrent query for an isomorphic graph may have admitted
             // it while we were verifying; don't store a duplicate.
-            if probe::find_exact(&state.cache, query, kind).is_some() {
+            if probe::find_exact_fp(&state.cache, fp, query, kind).is_some() {
                 AdmitOutcome::default()
             } else {
                 let mut policy = shard.policy.lock();
@@ -478,7 +484,8 @@ impl SharedGraphCache {
                     self.limits[home],
                     query,
                     kind,
-                    ctx.features.take(), // the probe stage's extraction, reused
+                    ctx.features.take().expect("extracted before probing"),
+                    fp,
                     &answer,
                     ctx.pruned.cm_size as u64,
                     ctx.verify_steps,
@@ -491,7 +498,7 @@ impl SharedGraphCache {
                 outcome
             }
         };
-        self.memo.lock().store(query, kind, &answer, ctx.pruned.cm_size as u64, generation);
+        self.memo.lock().store(fp, query, kind, &answer, ctx.pruned.cm_size as u64, generation);
         drop(admit_span);
 
         let elapsed = start.elapsed();
@@ -515,8 +522,7 @@ impl SharedGraphCache {
         drop(data);
 
         // ---- journaling: outside every shard lock, after the latency
-        // measurement (same boundary as the sequential runtime, so store
-        // IO never skews sequential-vs-sharded timing comparisons).
+        // measurement, so store IO never skews pipeline timing.
         // Appends happen after the write sections release, so the store's
         // internal mutex can never participate in a lock-order inversion
         // with shard locks. Cross-query append reordering is tolerated by
@@ -678,8 +684,9 @@ impl SharedGraphCache {
     /// lock, which waits out every in-flight query and blocks new ones, so
     /// the repair below is atomic with respect to queries.
     ///
-    /// Repairs mirror the sequential runtime: the method index is offered
-    /// the graph (the filter overlay covers methods that decline), every
+    /// Everything derived from the dataset is repaired: the method index is
+    /// offered the graph (the filter overlay covers methods that decline,
+    /// see [`gc_method::Method::on_insert_graph`]), every
     /// cached answer set re-verifies the new graph where its summary
     /// prefilter admits it, the answer memo invalidates via the generation
     /// bump, and the delta is journaled — inside the write lock, so deltas
@@ -785,6 +792,7 @@ impl SharedGraphCache {
     fn serve_exact(
         &self,
         home: usize,
+        fp: u64,
         query: &Graph,
         kind: QueryKind,
         now: u64,
@@ -792,7 +800,7 @@ impl SharedGraphCache {
     ) -> Option<QueryReport> {
         let shard = &self.shards[home];
         let mut state = shard.state.write();
-        let id = probe::find_exact(&state.cache, query, kind)?;
+        let id = probe::find_exact_fp(&state.cache, fp, query, kind)?;
         let mut policy = shard.policy.lock();
         let (answer, base_tests, _base_cost) =
             admit::serve_exact(&mut state.cache, policy.as_mut(), id, now)?;
@@ -829,11 +837,14 @@ impl SharedGraphCache {
     /// from both the snapshot and the surviving journal. This is
     /// warmth-only — every captured entry is a self-contained verified
     /// answer set, replay tolerates the overlaps, and a lost in-flight
-    /// admission is simply re-executed after a restart. The sequential
-    /// runtime's exact `restore(snapshot(cache)) ≡ cache` guarantee
-    /// applies to the sharded front-end only when rotation does not race
-    /// queries (shutdown snapshots, or a [`crate::Snapshotter`] tick in a
-    /// quiet period); a linearizable concurrent cut is a ROADMAP item.
+    /// admission is simply re-executed after a restart. The exact
+    /// `restore(snapshot(cache)) ≡ cache` guarantee holds only when
+    /// rotation does not race queries (shutdown snapshots, or a
+    /// [`crate::Snapshotter`] tick in a quiet period); a linearizable
+    /// concurrent cut is a ROADMAP item.
+    ///
+    /// The snapshot records the shards' summed admission-window count;
+    /// a one-shard restore resumes its window from it.
     ///
     /// Returns `Ok(None)` when no store is attached or another thread's
     /// snapshot is already in flight (single-flight).
@@ -850,8 +861,10 @@ impl SharedGraphCache {
             // doc is one consistent dataset generation.
             let data = self.data.read();
             let mut entries: Vec<EntryRecord> = Vec::new();
+            let mut window_pending = 0usize;
             for (si, shard) in self.shards.iter().enumerate() {
                 let state = shard.state.read();
+                window_pending += state.window.pending();
                 for e in state.cache.iter() {
                     let mut rec = persist::entry_to_record(e);
                     rec.orig_id = encode_entry_id(si, e.id);
@@ -863,7 +876,7 @@ impl SharedGraphCache {
                 &self.stats.snapshot(),
                 &self.cost,
                 self.clock.load(Ordering::Relaxed),
-                0, // per-shard window pending is not persisted (resets on restart)
+                window_pending as u32,
                 self.policy_name,
                 entries.into_iter(),
             );
@@ -894,9 +907,15 @@ impl SharedGraphCache {
     /// Build a shared cache and warm-restart it from `store`: replay
     /// snapshot then journal (each restored entry routed to its home shard
     /// by fingerprint and re-admitted through the normal insert path),
-    /// attach the store, and write a fresh snapshot. Fail-closed like
-    /// [`crate::GraphCache::restore_from`]: anything invalid yields a cold
-    /// cache plus the reason in the [`RecoveryReport`].
+    /// attach the store, and write a fresh snapshot so the new process
+    /// journals against its own entry-id namespace.
+    ///
+    /// Recovery is **fail-closed**: corrupt, truncated or torn files — and
+    /// a snapshot taken over a different dataset — yield a *cold* (empty
+    /// but fully functional) cache with the reason in the
+    /// [`RecoveryReport`]; answers are never wrong, restarts only lose
+    /// warmth. `Err` is reserved for an invalid `config` or an IO failure
+    /// writing the fresh snapshot.
     pub fn restore_from(
         dataset: Arc<Dataset>,
         method: Arc<dyn Method>,
@@ -916,9 +935,10 @@ impl SharedGraphCache {
             LoadOutcome::Cold { reason } => return RecoveryReport::cold(reason),
             LoadOutcome::Warm(state) => state,
         };
-        // Resolve the dataset the persisted state describes *first* (see
-        // the sequential runtime): snapshot ops + journal deltas, each
-        // fingerprint-validated, then replay entries at the final universe.
+        // Resolve the dataset the persisted state describes *first*: the
+        // snapshot's recorded ops and every journaled delta are re-applied
+        // (each validated by fingerprint), and all entry replay below runs
+        // against the final universe.
         let base = Arc::clone(&self.data.get_mut().dataset);
         let resolved = match persist::resolve_dataset(&state, &base) {
             Ok(resolved) => resolved,
@@ -943,17 +963,20 @@ impl SharedGraphCache {
                 let home = (fp % self.shards.len() as u64) as usize;
                 let shard = &self.shards[home];
                 let mut state = shard.state.write();
-                if probe::find_exact(&state.cache, &e.graph, e.kind).is_some() {
+                if probe::find_exact_fp(&state.cache, fp, &e.graph, e.kind).is_some() {
                     return None; // order-tolerant duplicate skip
                 }
                 let stats = e.stats.clone();
-                let id = state.cache.insert(
+                let features = state.cache.index().features_of(&e.graph);
+                let id = state.cache.insert_with_features(
                     e.graph,
                     e.kind,
                     e.answer,
                     e.base_tests,
                     e.base_cost,
                     stats.inserted_at,
+                    features,
+                    fp,
                 );
                 let slot = state.cache.get_mut(id).expect("just inserted");
                 slot.stats = e.stats;
@@ -994,13 +1017,21 @@ impl SharedGraphCache {
                 }
             }
         }
+        // The recorded window count belongs to one window only when there
+        // is one shard; sharded windows restart empty.
+        if let [shard] = self.shards.as_slice() {
+            let pending = state.doc.window_pending as usize + counts.journal_admits;
+            shard.state.write().window.restore_pending(pending);
+        }
         self.stats.add(&persist::stats_from_records(&state.doc.stats));
         for (gid, &(est, observed)) in state.doc.cost.iter().enumerate() {
             self.cost.restore_estimate(gid, est, observed);
         }
 
-        // Repair replayed answers against mutations their records predate
-        // (same post-pass as the sequential runtime, per shard).
+        // Repair replayed answers against mutations their records predate:
+        // tombstoned graphs are masked out, and each journal-inserted graph
+        // is re-verified per entry (idempotent — records written after the
+        // delta already carry the right bit).
         let engine = self.config.engine;
         for shard in self.shards.iter() {
             let mut shard_state = shard.state.write();
@@ -1147,6 +1178,12 @@ impl SharedGraphCache {
     pub fn decode_entry_id(id: EntryId) -> (usize, EntryId) {
         ((id >> LOCAL_BITS) as usize, id & LOCAL_MASK)
     }
+
+    /// The cache-wide id of shard `shard`'s entry `local`, as it appears in
+    /// [`QueryReport`]s (the inverse of [`Self::decode_entry_id`]).
+    pub fn encode_entry_id(shard: usize, local: EntryId) -> EntryId {
+        encode_entry_id(shard, local)
+    }
 }
 
 fn encode_entry_id(shard: usize, local: EntryId) -> EntryId {
@@ -1161,6 +1198,94 @@ fn encode_hits(shard: usize, hits: &CacheHits) -> CacheHits {
         super_: hits.super_.iter().map(|&id| encode_entry_id(shard, id)).collect(),
         probe_tests: hits.probe_tests,
         probe_steps: hits.probe_steps,
+    }
+}
+
+/// `"sub"` / `"super"` trace label for a query kind.
+fn kind_label(kind: QueryKind) -> &'static str {
+    match kind {
+        QueryKind::Subgraph => "sub",
+        QueryKind::Supergraph => "super",
+    }
+}
+
+/// Observe a fast-path (exact/memo) query into the telemetry hub; the
+/// trace, when sampled or slow, carries the answer size and any memo-span
+/// time but no pipeline-stage counts (those stages never ran).
+#[allow(clippy::too_many_arguments)]
+fn finish_fast_path(
+    telemetry: &Telemetry,
+    seq: u64,
+    elapsed: std::time::Duration,
+    timing: &QueryTiming,
+    request_id: Option<&str>,
+    kind: QueryKind,
+    outcome: &'static str,
+    shard: u32,
+    generation: u64,
+    answer: u64,
+) {
+    telemetry.finish_query(seq, elapsed, |slow| QueryTrace {
+        seq,
+        request_id: request_id.map(str::to_owned),
+        kind: kind_label(kind).to_owned(),
+        outcome: outcome.to_owned(),
+        shard,
+        generation,
+        total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+        filter_us: timing.stage_us[0],
+        probe_us: timing.stage_us[1],
+        prune_us: timing.stage_us[2],
+        verify_us: timing.stage_us[3],
+        admit_us: timing.stage_us[4],
+        memo_us: timing.stage_us[5],
+        cm_size: 0,
+        definite: 0,
+        to_verify: 0,
+        survivors: 0,
+        answer,
+        probe_tests: 0,
+        verify_steps: 0,
+        slow,
+    });
+}
+
+/// Assemble a full-pipeline [`QueryTrace`] from the query's context.
+#[allow(clippy::too_many_arguments)]
+fn pipeline_trace(
+    seq: u64,
+    elapsed: std::time::Duration,
+    timing: &QueryTiming,
+    request_id: Option<&str>,
+    kind: QueryKind,
+    shard: u32,
+    generation: u64,
+    ctx: &PipelineCtx<'_>,
+    answer: &BitSet,
+    slow: bool,
+) -> QueryTrace {
+    QueryTrace {
+        seq,
+        request_id: request_id.map(str::to_owned),
+        kind: kind_label(kind).to_owned(),
+        outcome: "pipeline".to_owned(),
+        shard,
+        generation,
+        total_us: elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
+        filter_us: timing.stage_us[0],
+        probe_us: timing.stage_us[1],
+        prune_us: timing.stage_us[2],
+        verify_us: timing.stage_us[3],
+        admit_us: timing.stage_us[4],
+        memo_us: timing.stage_us[5],
+        cm_size: ctx.pruned.cm_size as u64,
+        definite: ctx.pruned.definite.count() as u64,
+        to_verify: ctx.pruned.to_verify.count() as u64,
+        survivors: ctx.survivors.count() as u64,
+        answer: answer.count() as u64,
+        probe_tests: ctx.hits.probe_tests,
+        verify_steps: ctx.verify_steps,
+        slow,
     }
 }
 
@@ -1201,24 +1326,60 @@ mod tests {
 
     #[test]
     fn answers_match_sequential_and_repeats_hit_exactly() {
+        // Reference: Method M alone, run sequentially over the same queries.
         let ds = dataset();
-        let gc = shared(CacheConfig::default());
-        let mut seq = crate::GraphCache::with_policy(
-            ds,
-            Box::new(SiMethod),
-            PolicyKind::Hd,
-            CacheConfig::default(),
+        let queries = [g(&[0, 1], &[(0, 1)]), g(&[0], &[]), g(&[3], &[]), g(&[0, 1], &[(0, 1)])];
+        for shards in [1, 8] {
+            let gc = shared(CacheConfig { shards, ..CacheConfig::default() });
+            for (i, q) in queries.iter().enumerate() {
+                let got = gc.query(q, QueryKind::Subgraph);
+                let base = gc_method::execute_base(
+                    &ds,
+                    &SiMethod,
+                    CacheConfig::default().engine,
+                    q,
+                    QueryKind::Subgraph,
+                );
+                assert_eq!(got.answer, base.answer, "shards {shards}, query {i}");
+                assert_eq!(got.exact_hit, i == 3, "only the repeat is an exact hit");
+            }
+            assert_eq!(gc.stats().exact_hits, 1, "the repeat is an exact hit");
+            assert_eq!(gc.len(), 3, "three distinct queries admitted");
+        }
+    }
+
+    #[test]
+    fn restore_resumes_the_admission_window_of_one_shard() {
+        let dir =
+            std::env::temp_dir().join(format!("gc_shared_window_restore_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg =
+            CacheConfig { shards: 1, window_size: 5, min_admit_tests: 0, ..CacheConfig::default() };
+        let mut gc = shared(cfg.clone());
+        gc.attach_store(Arc::new(CacheStore::open(&dir).unwrap())).unwrap();
+        // Three admissions into a window of five, none swept yet.
+        for label in 0..3u32 {
+            assert!(gc.query(&g(&[label], &[]), QueryKind::Subgraph).admitted.is_some());
+        }
+        assert_eq!(gc.shards[0].state.read().window.pending(), 3);
+        // Three pending admissions go into the snapshot, a fourth into the
+        // journal.
+        gc.snapshot_now().unwrap();
+        assert!(gc.query(&g(&[7], &[]), QueryKind::Supergraph).admitted.is_some());
+        assert_eq!(gc.shards[0].state.read().window.pending(), 4);
+        drop(gc);
+
+        let (restored, report) = SharedGraphCache::restore_from(
+            dataset(),
+            Arc::new(SiMethod),
+            || PolicyKind::Hd.make(),
+            cfg,
+            Arc::new(CacheStore::open(&dir).unwrap()),
         )
         .unwrap();
-        let queries = [g(&[0, 1], &[(0, 1)]), g(&[0], &[]), g(&[3], &[]), g(&[0, 1], &[(0, 1)])];
-        for q in &queries {
-            let a = gc.query(q, QueryKind::Subgraph);
-            let b = seq.query(q, QueryKind::Subgraph);
-            assert_eq!(a.answer, b.answer);
-            assert_eq!(a.exact_hit, b.exact_hit);
-        }
-        assert_eq!(gc.stats().exact_hits, 1, "the repeat is an exact hit");
-        assert_eq!(gc.len(), seq.len());
+        assert!(report.warm);
+        assert_eq!(restored.shards[0].state.read().window.pending(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1269,7 +1430,7 @@ mod tests {
         }
         // Per-shard capacity is 4/2 = 2; window 1 sweeps on every
         // admission, so the resting total never exceeds the configured
-        // capacity — same bound as the sequential runtime.
+        // capacity — same bound as a one-shard cache.
         assert!(gc.len() <= 4, "len {} exceeds configured capacity", gc.len());
         assert!(gc.stats().evicted > 0);
     }

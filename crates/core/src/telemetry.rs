@@ -263,7 +263,7 @@ pub struct QueryTrace {
     pub kind: String,
     /// How the answer was produced: `"exact"`, `"memo"`, or `"pipeline"`.
     pub outcome: String,
-    /// Home shard (0 for the sequential cache).
+    /// Home shard (always 0 with one shard).
     pub shard: u32,
     /// Dataset generation the query executed against.
     pub generation: u64,

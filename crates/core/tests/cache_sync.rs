@@ -9,7 +9,7 @@
 //! point at dead or reused slots. These tests hammer the mutation paths and
 //! then assert full structural consistency.
 
-use gc_core::{CacheConfig, CacheManager, EntryId, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, CacheManager, EntryId, PolicyKind, SharedGraphCache};
 use gc_index::FeatureConfig;
 use gc_method::{Dataset, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
@@ -79,16 +79,16 @@ fn eviction_sweeps_leave_no_stale_bucket_ids() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
     for policy in PolicyKind::all() {
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             policy,
-            CacheConfig { capacity: 4, window_size: 1, ..CacheConfig::default() },
+            CacheConfig { capacity: 4, window_size: 1, shards: 1, ..CacheConfig::default() },
         )
         .unwrap();
         for wq in &workload.queries {
             gc.query(&wq.graph, wq.kind);
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
         assert!(gc.stats().evicted > 0, "policy {policy} must have evicted");
     }
@@ -105,7 +105,7 @@ fn byte_budget_eviction_loop_stays_consistent() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
@@ -113,13 +113,14 @@ fn byte_budget_eviction_loop_stays_consistent() {
             capacity: 1000,
             window_size: 2,
             max_bytes: Some(8 * 1024),
+            shards: 1,
             ..CacheConfig::default()
         },
     )
     .unwrap();
     for wq in &workload.queries {
         gc.query(&wq.graph, wq.kind);
-        assert_consistent(gc.cache());
+        gc.for_each_shard(|_, cm| assert_consistent(cm));
     }
     assert!(gc.stats().evicted > 0);
 }

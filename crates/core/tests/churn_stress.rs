@@ -1,14 +1,15 @@
 //! Churn stress: eviction-heavy Zipf workloads must keep every lookup
 //! structure — fingerprint buckets, the tombstoned containment index, the
-//! slab — exactly in sync with the live entry set, sequentially and across
-//! `SharedGraphCache` shards under concurrent clients.
+//! slab — exactly in sync with the live entry set, in a one-shard cache
+//! driven by one client and across `SharedGraphCache` shards under
+//! concurrent clients.
 //!
 //! Extends the `cache_sync.rs` invariants to the regime this PR targets:
 //! tiny capacities with window 1 force an admission + eviction on almost
 //! every query, so the index directory is driven through tombstoning, tail
 //! merges and compaction sweeps at traffic rate.
 
-use gc_core::{CacheConfig, CacheManager, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, CacheManager, PolicyKind, SharedGraphCache};
 use gc_index::IndexTuning;
 use gc_method::{Dataset, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
@@ -49,15 +50,20 @@ fn zipf_eviction_churn_keeps_sequential_cache_consistent() {
         capacity: 3,
         window_size: 1,
         index_tuning: IndexTuning { compact_tombstone_pct: 25, ..IndexTuning::default() },
+        shards: 1,
         ..CacheConfig::default()
     };
     for policy in [PolicyKind::Lru, PolicyKind::Hd] {
-        let mut gc =
-            GraphCache::with_policy(dataset.clone(), Box::new(SiMethod), policy, config.clone())
-                .unwrap();
+        let gc = SharedGraphCache::with_policy(
+            dataset.clone(),
+            Box::new(SiMethod),
+            policy,
+            config.clone(),
+        )
+        .unwrap();
         for wq in &workload.queries {
             gc.query(&wq.graph, wq.kind);
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
         let stats = gc.stats();
         assert!(stats.evicted > 0, "policy {policy} must have evicted");
@@ -130,20 +136,20 @@ fn repeat_heavy_churn_recycles_slots_without_desync() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset,
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig { capacity: 4, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 4, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     for (i, wq) in workload.queries.iter().enumerate() {
         gc.query(&wq.graph, wq.kind);
         if i % 10 == 0 {
-            assert_consistent(gc.cache());
+            gc.for_each_shard(|_, cm| assert_consistent(cm));
         }
     }
-    assert_consistent(gc.cache());
+    gc.for_each_shard(|_, cm| assert_consistent(cm));
     let stats = gc.stats();
     assert!(stats.exact_hits > 0, "tiny pool must produce exact hits");
     assert!(stats.evicted > 0, "tiny capacity must produce evictions");

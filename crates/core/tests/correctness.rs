@@ -5,7 +5,7 @@
 //! through the cache and compare every answer bit-for-bit against Method M
 //! executed without a cache.
 
-use gc_core::{CacheConfig, GraphCache, PolicyKind};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, FtvMethod, Method, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::sync::Arc;
@@ -19,7 +19,14 @@ fn check_workload(
     spec: &WorkloadSpec,
 ) {
     let workload = Workload::generate(dataset.graphs(), spec);
-    let mut gc = GraphCache::new(dataset.clone(), method_for_cache, policy.make(), config).unwrap();
+    let config = CacheConfig { shards: 1, ..config };
+    let gc = SharedGraphCache::new(
+        dataset.clone(),
+        Arc::from(method_for_cache),
+        || policy.make(),
+        config,
+    )
+    .unwrap();
     for (i, wq) in workload.queries.iter().enumerate() {
         let cached = gc.query(&wq.graph, wq.kind);
         let base = execute_base(&dataset, reference, Engine::Vf2, &wq.graph, wq.kind);
@@ -135,11 +142,11 @@ fn exact_hits_on_repeats() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig { capacity: 10, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 10, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     for wq in &workload.queries {
@@ -162,11 +169,11 @@ fn cache_respects_capacity() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { capacity: 7, window_size: 3, ..CacheConfig::default() },
+        CacheConfig { capacity: 7, window_size: 3, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     let mut evictions = 0usize;
@@ -194,7 +201,7 @@ fn byte_budget_caps_memory() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
     let budget = 16 * 1024; // 16 KiB — far below an unbounded run
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
@@ -202,6 +209,7 @@ fn byte_budget_caps_memory() {
             capacity: 1000,
             window_size: 4,
             max_bytes: Some(budget),
+            shards: 1,
             ..CacheConfig::default()
         },
     )
@@ -226,7 +234,9 @@ fn byte_budget_caps_memory() {
 fn zero_byte_budget_is_rejected() {
     let dataset = Arc::new(Dataset::new(molecule_dataset(3, 1)));
     let cfg = CacheConfig { max_bytes: Some(0), ..CacheConfig::default() };
-    assert!(GraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Lru, cfg).is_err());
+    assert!(
+        SharedGraphCache::with_policy(dataset, Box::new(SiMethod), PolicyKind::Lru, cfg).is_err()
+    );
 }
 
 #[test]
@@ -242,11 +252,11 @@ fn tiny_probe_budget_keeps_answers_correct() {
         ..WorkloadSpec::default()
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(SiMethod),
         PolicyKind::Hd,
-        CacheConfig { probe_budget: 1, window_size: 2, ..CacheConfig::default() },
+        CacheConfig { probe_budget: 1, window_size: 2, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     for wq in &workload.queries {

@@ -6,8 +6,8 @@
 //!   answers Method M alone would compute on the dataset *as mutated so
 //!   far*, and a cold cache rebuilt on the final dataset agrees with the
 //!   mutated-in-place cache (property test over random interleavings);
-//! * sequential and sharded runtimes answer identically under the same
-//!   mutation script;
+//! * one-shard and four-shard caches answer identically, and as Method M
+//!   does, under the same mutation script;
 //! * a memo hit performs **zero** probe/verify work and the memo is
 //!   invalidated wholesale by any dataset mutation (generation bump);
 //! * mutations racing a snapshot neither deadlock nor lose their delta —
@@ -19,7 +19,7 @@ mod common;
 
 use common::assert_consistent;
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_workload::{extract_query, molecule_dataset};
 use proptest::prelude::*;
@@ -39,7 +39,7 @@ fn dataset(n: usize, seed: u64) -> Arc<Dataset> {
 }
 
 fn config() -> CacheConfig {
-    CacheConfig { capacity: 16, window_size: 2, ..CacheConfig::default() }
+    CacheConfig { capacity: 16, window_size: 2, shards: 1, ..CacheConfig::default() }
 }
 
 /// One step of an interleaved mutation/query script.
@@ -77,11 +77,11 @@ fn insert_pool(n: usize, seed: u64) -> Vec<gc_graph::Graph> {
     molecule_dataset(n, seed)
 }
 
-/// Run `steps` against a sequential cache, checking every query against
+/// Run `steps` against `gc` from one client, checking every query against
 /// Method M alone on the *current* dataset. Returns the (graph, kind)
 /// queries issued for replay against a cold rebuild.
 fn drive_sequential(
-    gc: &mut GraphCache,
+    gc: &SharedGraphCache,
     steps: &[Step],
     seed: u64,
 ) -> Vec<(gc_graph::Graph, QueryKind)> {
@@ -104,9 +104,9 @@ fn drive_sequential(
                 }
             }
             Step::Query(kind) => {
-                let q = live_query(gc.dataset(), &mut rng);
+                let q = live_query(&gc.dataset(), &mut rng);
                 let r = gc.query(&q, *kind);
-                let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
+                let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
                 assert_eq!(r.answer, want.answer, "answer must match Method M on current dataset");
                 if r.memo_hit {
                     assert_eq!(r.sub_iso_tests, 0, "memo hit must run zero sub-iso tests");
@@ -129,17 +129,18 @@ proptest! {
     #[test]
     fn interleavings_match_cold_rebuild(seed in 0u64..1000) {
         let ds = dataset(18, 40 + seed);
-        let mut gc =
-            GraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+        let gc =
+            SharedGraphCache::with_policy(ds, Box::new(SiMethod), PolicyKind::Hd, config())
+                .unwrap();
         let steps = script(60, seed);
-        let issued = drive_sequential(&mut gc, &steps, seed);
+        let issued = drive_sequential(&gc, &steps, seed);
         prop_assert!(gc.dataset().generation() > 0, "script must mutate");
-        assert_consistent(gc.cache());
+        gc.for_each_shard(|_, cm| assert_consistent(cm));
 
         // Cold rebuild on the final dataset: same answers for every query.
-        let final_ds = Arc::new(gc.dataset().clone());
-        let mut cold =
-            GraphCache::with_policy(final_ds, Box::new(SiMethod), PolicyKind::Hd, config())
+        let final_ds = Arc::new((*gc.dataset()).clone());
+        let cold =
+            SharedGraphCache::with_policy(final_ds, Box::new(SiMethod), PolicyKind::Hd, config())
                 .unwrap();
         for (q, kind) in issued {
             let warm = gc.query(&q, kind);
@@ -152,10 +153,10 @@ proptest! {
 #[test]
 fn sequential_and_sharded_answer_identically_under_mutation() {
     let ds = dataset(16, 77);
-    let cfg = CacheConfig { shards: 4, ..config() };
-    let mut seq =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg.clone())
+    let seq =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
             .unwrap();
+    let cfg = CacheConfig { shards: 4, ..config() };
     let shared =
         SharedGraphCache::new(ds, Arc::new(SiMethod), || PolicyKind::Hd.make(), cfg).unwrap();
 
@@ -169,7 +170,7 @@ fn sequential_and_sharded_answer_identically_under_mutation() {
             Step::Insert => {
                 let a = seq.insert_graph(pool_a.next().unwrap());
                 let b = shared.insert_graph(pool_b.next().unwrap());
-                assert_eq!(a, b, "both runtimes must assign the same graph id");
+                assert_eq!(a, b, "both caches must assign the same graph id");
             }
             Step::Remove => {
                 if seq.dataset().live_count() > 4 {
@@ -181,11 +182,13 @@ fn sequential_and_sharded_answer_identically_under_mutation() {
                 }
             }
             Step::Query(kind) => {
-                let q = live_query(seq.dataset(), &mut rng_a);
+                let q = live_query(&seq.dataset(), &mut rng_a);
                 let _ = live_query(&shared.dataset(), &mut rng_b);
                 let ra = seq.query(&q, *kind);
                 let rb = shared.query(&q, *kind);
-                assert_eq!(ra.answer, rb.answer, "runtimes disagree under mutation");
+                let want = execute_base(&seq.dataset(), &SiMethod, Engine::Vf2, &q, *kind);
+                assert_eq!(ra.answer, want.answer, "one shard disagrees with Method M");
+                assert_eq!(rb.answer, want.answer, "four shards disagree with Method M");
             }
         }
     }
@@ -198,9 +201,9 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
     let ds = dataset(20, 123);
     // Tiny cache: entries evict fast, so repeats miss the exact-match table
     // and fall through to the memo.
-    let cfg = CacheConfig { capacity: 2, window_size: 1, ..CacheConfig::default() };
-    let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Lru, cfg).unwrap();
+    let cfg = CacheConfig { capacity: 2, window_size: 1, ..config() };
+    let gc = SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Lru, cfg)
+        .unwrap();
 
     let mut rng = StdRng::seed_from_u64(9);
     let q = extract_query(ds.graph(1), 6, &mut rng).unwrap();
@@ -231,15 +234,16 @@ fn memo_hit_is_zero_work_and_generation_invalidated() {
         after.answer.contains(inserted as usize),
         "the re-executed answer must see the inserted duplicate graph"
     );
-    let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     assert_eq!(after.answer, want.answer);
 }
 
 #[test]
 fn cached_entries_are_repaired_in_place_by_mutation() {
     let ds = dataset(20, 321);
-    let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config()).unwrap();
+    let gc =
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, config())
+            .unwrap();
     let mut rng = StdRng::seed_from_u64(4);
     let q = extract_query(ds.graph(2), 5, &mut rng).unwrap();
     let first = gc.query(&q, QueryKind::Subgraph);
@@ -257,7 +261,7 @@ fn cached_entries_are_repaired_in_place_by_mutation() {
     let hit2 = gc.query(&q, QueryKind::Subgraph);
     assert!(hit2.exact_hit);
     assert!(!hit2.answer.contains(gid as usize), "removal must clear the cached bit");
-    let want = execute_base(gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&gc.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     assert_eq!(hit2.answer, want.answer);
 }
 
@@ -270,10 +274,10 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // Session A: snapshot first (pristine dataset), then mutate — the
     // mutations live only in the journal as dataset deltas.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = GraphCache::restore_from(
+    let (a, _) = SharedGraphCache::restore_from(
         base.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
         cfg.clone(),
         store,
     )
@@ -290,7 +294,7 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     assert!(a.remove_graph(0), "graph 0 must be removable");
     let final_gen = a.dataset().generation();
     let final_fp = a.dataset().content_fingerprint();
-    let want = execute_base(a.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
+    let want = execute_base(&a.dataset(), &SiMethod, Engine::Vf2, &q, QueryKind::Subgraph);
     let final_answer = a.query(&q, QueryKind::Subgraph).answer;
     assert_eq!(final_answer, want.answer);
     a.attached_store().unwrap().sync().unwrap();
@@ -300,9 +304,14 @@ fn warm_restart_replays_journaled_dataset_deltas() {
     // replayed from the journal, and restored entries repaired to the
     // final universe.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) =
-        GraphCache::restore_from(base, Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
-            .unwrap();
+    let (b, report) = SharedGraphCache::restore_from(
+        base,
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
+        cfg,
+        store,
+    )
+    .unwrap();
     assert!(report.warm, "delta-bearing store must restore warm: {:?}", report.cold_reason);
     assert!(report.journal_deltas >= 4, "all four mutations must replay as journal deltas");
     assert_eq!(b.dataset().generation(), final_gen);
@@ -319,10 +328,10 @@ fn restore_accepts_already_mutated_base_dataset() {
     let base = dataset(14, 777);
     let dir = tmpdir("mutated_base");
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, _) = GraphCache::restore_from(
+    let (a, _) = SharedGraphCache::restore_from(
         base.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
         config(),
         store,
     )
@@ -334,17 +343,17 @@ fn restore_accepts_already_mutated_base_dataset() {
         a.insert_graph(g);
     }
     a.snapshot_now().unwrap();
-    let mutated = Arc::new(a.dataset().clone());
+    let mutated = Arc::new((*a.dataset()).clone());
     let answer = a.query(&q, QueryKind::Subgraph).answer;
     drop(a);
 
     // Restoring with the already-mutated dataset (e.g. the caller replayed
     // its own op log) must also work — no double-application of ops.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) = GraphCache::restore_from(
+    let (b, report) = SharedGraphCache::restore_from(
         mutated.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
         config(),
         store,
     )

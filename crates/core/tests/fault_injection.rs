@@ -11,7 +11,7 @@
 //! and its fault hook, so they serialize on a static mutex.
 
 use gc_core::persist::{Failpoint, FaultPlan, FaultSite};
-use gc_core::{CacheConfig, GraphCache, PersistHealth, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PersistHealth, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use std::path::PathBuf;
@@ -112,11 +112,12 @@ fn persistent_append_failure_degrades_then_recovers() {
         window_size: 2,
         min_admit_tests: 0,
         persist_retries: 1,
+        shards: 1,
         ..CacheConfig::default()
     };
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
     assert_eq!(gc.persist_health(), Some(PersistHealth::Healthy));
     let healthy_generation = store.generation();
@@ -165,11 +166,11 @@ fn persistent_append_failure_degrades_then_recovers() {
 
     // The recovered directory restores warm.
     drop(gc);
-    let (gc2, report) = GraphCache::restore_from(
+    let (gc2, report) = SharedGraphCache::restore_from(
         ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        CacheConfig { capacity: 16, window_size: 2, ..CacheConfig::default() },
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
+        CacheConfig { capacity: 16, window_size: 2, shards: 1, ..CacheConfig::default() },
         Arc::new(gc_core::CacheStore::open(&dir).unwrap()),
     )
     .unwrap();
@@ -189,11 +190,12 @@ fn exhausted_probe_budget_disables_persistence() {
         min_admit_tests: 0,
         persist_retries: 0,
         persist_max_probes: 2,
+        shards: 1,
         ..CacheConfig::default()
     };
     let store = Arc::new(gc_core::CacheStore::open(&dir).unwrap());
     let mut gc =
-        GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
+        SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap();
     gc.attach_store(Arc::clone(&store)).unwrap();
 
     // Appends AND snapshots fail persistently: the breaker trips, then

@@ -8,11 +8,11 @@
 //!   journaled admissions/evictions), with **zero recomputed admissions**;
 //! * bit-flipped, truncated and mid-record-torn snapshot/journal files are
 //!   rejected and fall back to a *cold but correct* start;
-//! * cross-runtime restores (sequential ⇄ sharded) work, because the
-//!   on-disk format is decoupled from the in-memory layout.
+//! * restores across shard counts work, because the on-disk format is
+//!   decoupled from the in-memory layout.
 
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, SharedGraphCache};
 use gc_method::{execute_base, Dataset, Engine, QueryKind, SiMethod};
 use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
 use proptest::prelude::*;
@@ -41,28 +41,44 @@ fn workload(ds: &Arc<Dataset>, n_queries: usize, seed: u64) -> Workload {
 }
 
 fn config() -> CacheConfig {
-    CacheConfig { capacity: 24, window_size: 3, ..CacheConfig::default() }
+    CacheConfig { capacity: 24, window_size: 3, shards: 1, ..CacheConfig::default() }
 }
 
-fn session(ds: &Arc<Dataset>, cfg: CacheConfig) -> GraphCache {
-    GraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
+fn session(ds: &Arc<Dataset>, cfg: CacheConfig) -> SharedGraphCache {
+    SharedGraphCache::with_policy(ds.clone(), Box::new(SiMethod), PolicyKind::Hd, cfg).unwrap()
 }
 
-/// Multiset of (fingerprint, kind) over a sequential cache's live entries —
-/// the state signature restores are checked against.
-fn entry_signature(gc: &GraphCache) -> Vec<(u64, QueryKind)> {
-    let mut sig: Vec<_> = gc.cache().iter().map(|e| (e.fingerprint, e.kind)).collect();
-    sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
-    sig
+fn restore(
+    ds: &Arc<Dataset>,
+    cfg: CacheConfig,
+    store: Arc<CacheStore>,
+) -> (SharedGraphCache, gc_core::RecoveryReport) {
+    SharedGraphCache::restore_from(
+        ds.clone(),
+        Arc::new(SiMethod),
+        || PolicyKind::Hd.make(),
+        cfg,
+        store,
+    )
+    .unwrap()
 }
 
-fn shared_signature(gc: &SharedGraphCache) -> Vec<(u64, QueryKind)> {
+/// Multiset of (fingerprint, kind) over a cache's live entries — the state
+/// signature restores are checked against.
+fn entry_signature(gc: &SharedGraphCache) -> Vec<(u64, QueryKind)> {
     let mut sig = Vec::new();
     gc.for_each_shard(|_, cm| {
         sig.extend(cm.iter().map(|e| (e.fingerprint, e.kind)));
     });
     sig.sort_unstable_by_key(|&(fp, k)| (fp, k as u8));
     sig
+}
+
+/// Every cached (graph, kind), in shard order.
+fn cached_queries(gc: &SharedGraphCache) -> Vec<(gc_graph::Graph, QueryKind)> {
+    let mut out = Vec::new();
+    gc.for_each_shard(|_, cm| out.extend(cm.iter().map(|e| (e.graph.clone(), e.kind))));
+    out
 }
 
 #[test]
@@ -75,14 +91,7 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
     // admissions so the final state is snapshot + a journal tail.
     let cfg = CacheConfig { snapshot_interval: Some(16), ..config() };
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut a, first) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        cfg.clone(),
-        store,
-    )
-    .unwrap();
+    let (a, first) = restore(&ds, cfg.clone(), store);
     assert!(!first.warm, "fresh directory must start cold");
     for wq in &w.queries {
         a.query(&wq.graph, wq.kind);
@@ -98,9 +107,7 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
 
     // Session B: warm restart.
     let store = Arc::new(CacheStore::open(&dir).unwrap());
-    let (mut b, report) =
-        GraphCache::restore_from(ds.clone(), Box::new(SiMethod), PolicyKind::Hd.make(), cfg, store)
-            .unwrap();
+    let (b, report) = restore(&ds, cfg, store);
     assert!(report.warm, "valid store must restore warm: {:?}", report.cold_reason);
     assert!(report.journal_admits > 0, "the journal tail must have been replayed");
     assert_eq!(entry_signature(&b), a_sig, "restored entry set must match the crashed session");
@@ -113,8 +120,7 @@ fn snapshot_plus_journal_reconstructs_exact_state() {
 
     // Zero recomputed admissions: every entry that was live at the crash is
     // an exact hit now, served without re-execution or re-admission.
-    let cached: Vec<_> = b.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
-    for (graph, kind) in cached {
+    for (graph, kind) in cached_queries(&b) {
         let r = b.query(&graph, kind);
         assert!(r.exact_hit, "restored entry must serve an exact hit");
         assert!(r.admitted.is_none(), "exact hits must not re-admit");
@@ -135,19 +141,12 @@ fn warm_and_cold_answers_are_identical() {
     for wq in &warmup.queries {
         a.query(&wq.graph, wq.kind);
     }
-    a.snapshot_to(&store).unwrap();
+    a.attach_store(store).unwrap();
     drop(a);
 
-    let (mut warm, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (warm, report) = restore(&ds, config(), Arc::new(CacheStore::open(&dir).unwrap()));
     assert!(report.warm);
-    let mut cold = session(&ds, config());
+    let cold = session(&ds, config());
 
     let mut warm_hits = 0u64;
     for wq in &probe.queries {
@@ -195,14 +194,7 @@ fn persisted_dir(tag: &str, ds: &Arc<Dataset>) -> PathBuf {
 
 /// Restore from `dir` and assert a cold-but-correct start.
 fn assert_cold_but_correct(dir: &Path, ds: &Arc<Dataset>, what: &str) {
-    let (mut gc, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(dir).unwrap()),
-    )
-    .unwrap();
+    let (gc, report) = restore(ds, config(), Arc::new(CacheStore::open(dir).unwrap()));
     assert!(!report.warm, "{what}: corruption must fail closed to a cold start");
     assert!(report.cold_reason.is_some(), "{what}: reason must be reported");
     assert!(gc.is_empty(), "{what}: cold cache must be empty");
@@ -223,14 +215,7 @@ fn corrupted_files_fall_back_to_cold_start() {
     // Baseline: the directory restores warm before corruption.
     {
         let dir = persisted_dir("baseline", &ds);
-        let (_, report) = GraphCache::restore_from(
-            ds.clone(),
-            Box::new(SiMethod),
-            PolicyKind::Hd.make(),
-            config(),
-            Arc::new(CacheStore::open(&dir).unwrap()),
-        )
-        .unwrap();
+        let (_, report) = restore(&ds, config(), Arc::new(CacheStore::open(&dir).unwrap()));
         assert!(report.warm, "sanity: uncorrupted dir restores warm");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -279,14 +264,7 @@ fn corrupted_files_fall_back_to_cold_start() {
     let path = journal_path(&dir);
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-    let (mut gc, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (gc, report) = restore(&ds, config(), Arc::new(CacheStore::open(&dir).unwrap()));
     assert!(report.warm, "a torn tail keeps the intact journal prefix");
     assert!(report.journal_torn_bytes > 0, "the dropped tail is reported");
     let q = &workload(&ds, 5, 1).queries[0];
@@ -308,7 +286,7 @@ fn snapshot_from_different_dataset_is_rejected() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// ---- sharded front-end -------------------------------------------------------
+// ---- many shards ---------------------------------------------------------------
 
 #[test]
 fn shared_cache_snapshots_and_restores() {
@@ -335,7 +313,7 @@ fn shared_cache_snapshots_and_restores() {
             });
         }
     });
-    let a_sig = shared_signature(&a);
+    let a_sig = entry_signature(&a);
     store.sync().unwrap();
     drop(a);
 
@@ -349,7 +327,7 @@ fn shared_cache_snapshots_and_restores() {
     )
     .unwrap();
     assert!(report.warm, "shared restore must be warm: {:?}", report.cold_reason);
-    assert_eq!(shared_signature(&b), a_sig, "restored shard union must match");
+    assert_eq!(entry_signature(&b), a_sig, "restored shard union must match");
 
     // Restored entries serve exact hits with exact answers.
     let mut checked = 0;
@@ -368,10 +346,10 @@ fn shared_cache_snapshots_and_restores() {
 }
 
 #[test]
-fn cross_runtime_restore_shared_to_sequential() {
-    // The on-disk format is runtime-agnostic: a store written by the
-    // sharded front-end restores into the sequential runtime (and keeps
-    // its entries), because replay goes through the normal insert paths.
+fn restore_across_shard_counts_four_to_one() {
+    // The on-disk format is layout-agnostic: a store written by a
+    // four-shard cache restores into a one-shard cache (and keeps its
+    // entries), because replay goes through the normal insert paths.
     let ds = dataset(24, 51);
     let w = workload(&ds, 60, 23);
     let dir = tmpdir("cross");
@@ -384,19 +362,13 @@ fn cross_runtime_restore_shared_to_sequential() {
         shared.query(&wq.graph, wq.kind);
     }
     shared.attach_store(store).unwrap();
-    let shared_sig = shared_signature(&shared);
+    let shared_sig = entry_signature(&shared);
     drop(shared);
 
-    let (seq, report) = GraphCache::restore_from(
-        ds.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Hd.make(),
-        config(),
-        Arc::new(CacheStore::open(&dir).unwrap()),
-    )
-    .unwrap();
+    let (one, report) = restore(&ds, config(), Arc::new(CacheStore::open(&dir).unwrap()));
     assert!(report.warm);
-    assert_eq!(entry_signature(&seq), shared_sig);
+    assert_eq!(one.shard_count(), 1);
+    assert_eq!(entry_signature(&one), shared_sig);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -414,31 +386,23 @@ proptest! {
     ) {
         let ds = dataset(20, ds_seed);
         let w = workload(&ds, n_queries, w_seed);
-        let cfg = CacheConfig { capacity, window_size: 2, ..CacheConfig::default() };
+        let cfg = CacheConfig { capacity, window_size: 2, shards: 1, ..CacheConfig::default() };
         let dir = tmpdir(&format!("prop_{ds_seed}_{w_seed}_{n_queries}_{capacity}"));
 
         let mut a = session(&ds, cfg.clone());
         for wq in &w.queries {
             a.query(&wq.graph, wq.kind);
         }
-        let store = Arc::new(CacheStore::open(&dir).unwrap());
-        a.snapshot_to(&store).unwrap();
+        a.attach_store(Arc::new(CacheStore::open(&dir).unwrap())).unwrap();
 
-        let (mut b, report) = GraphCache::restore_from(
-            ds.clone(),
-            Box::new(SiMethod),
-            PolicyKind::Hd.make(),
-            cfg,
-            store,
-        ).unwrap();
+        let (b, report) = restore(&ds, cfg, Arc::new(CacheStore::open(&dir).unwrap()));
         prop_assert!(report.warm);
         prop_assert_eq!(report.entries_restored, a.len());
         prop_assert_eq!(entry_signature(&b), entry_signature(&a));
 
         // Every cached entry answers exactly, as an exact hit, without
         // re-admission — and identically to the pre-restart cache.
-        let cached: Vec<_> = a.cache().iter().map(|e| (e.graph.clone(), e.kind)).collect();
-        for (graph, kind) in cached {
+        for (graph, kind) in cached_queries(&a) {
             let ra = a.query(&graph, kind);
             let rb = b.query(&graph, kind);
             prop_assert!(rb.exact_hit);

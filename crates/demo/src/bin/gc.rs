@@ -34,7 +34,7 @@
 //! datasets drop in directly.
 
 use gc_core::persist::CacheStore;
-use gc_core::{CacheConfig, GraphCache, PolicyKind, RecoveryReport, SharedGraphCache};
+use gc_core::{CacheConfig, PolicyKind, RecoveryReport, SharedGraphCache};
 use gc_demo::{
     developer_monitor, end_user_monitor, render_end_user_monitor, run_multi_client,
     run_multi_client_persistent, run_query_journey, run_workload_comparison, DeploymentInfo,
@@ -127,43 +127,44 @@ fn cache_config(flags: &HashMap<String, String>) -> CacheConfig {
     }
 }
 
+/// The one-client commands' cache: the paper's single cache (one shard).
 fn build_cache(
     dataset: &Arc<Dataset>,
     flags: &HashMap<String, String>,
-) -> Result<GraphCache, String> {
+) -> Result<SharedGraphCache, String> {
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
     let feature_size: usize = get(flags, "feature-size", 2);
-    GraphCache::with_policy(
+    SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(dataset, feature_size)),
         policy,
-        cache_config(flags),
+        CacheConfig { shards: 1, ..cache_config(flags) },
     )
 }
 
-/// Build a cache warm-restarted from `--snapshot-dir` (journaling stays
+/// [`build_cache`] warm-restarted from `--snapshot-dir` (journaling stays
 /// attached, so the session's admissions persist too).
 fn build_persistent_cache(
     dataset: &Arc<Dataset>,
     flags: &HashMap<String, String>,
     dir: &str,
-) -> Result<(GraphCache, RecoveryReport), String> {
+) -> Result<(SharedGraphCache, RecoveryReport), String> {
     let policy: PolicyKind =
         flags.get("policy").map(|p| p.parse()).transpose()?.unwrap_or(PolicyKind::Hd);
     let feature_size: usize = get(flags, "feature-size", 2);
     let store = Arc::new(CacheStore::open(dir).map_err(|e| format!("{dir}: {e}"))?);
-    GraphCache::restore_from(
+    SharedGraphCache::restore_from(
         dataset.clone(),
-        Box::new(FtvMethod::build(dataset, feature_size)),
-        policy.make(),
-        cache_config(flags),
+        Arc::new(FtvMethod::build(dataset, feature_size)),
+        || policy.make(),
+        CacheConfig { shards: 1, ..cache_config(flags) },
         store,
     )
 }
 
-fn finish_snapshot(gc: &mut GraphCache) -> Result<(), String> {
-    let info = gc.snapshot_now()?;
+fn finish_snapshot(gc: &SharedGraphCache) -> Result<(), String> {
+    let info = gc.snapshot_now()?.ok_or("no store attached")?;
     println!(
         "[Persistence] snapshot generation {} written: {} entries, {} KiB",
         info.generation,
@@ -192,9 +193,9 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // Multi-client mode: stripe the workload over N threads hammering one
-    // SharedGraphCache (optionally cross-checking answers with --check;
-    // `--snapshot-dir` warm-restarts the shared cache and journals the
-    // session, exactly like the sequential mode).
+    // SharedGraphCache (optionally cross-checking answers against Method M
+    // with --check; `--snapshot-dir` warm-restarts the cache and journals
+    // the session, exactly like the one-client mode).
     let clients: usize = get(flags, "clients", 1);
     if clients > 1 {
         let policy: PolicyKind =
@@ -237,13 +238,13 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         };
         print!("{}", run.render());
         if run.mismatches > 0 {
-            return Err(format!("{} answer mismatches vs sequential replay", run.mismatches));
+            return Err(format!("{} answer mismatches vs Method M", run.mismatches));
         }
         return Ok(());
     }
 
     let snapshot_dir = flags.get("snapshot-dir").cloned();
-    let mut gc = match &snapshot_dir {
+    let gc = match &snapshot_dir {
         Some(dir) => {
             let (gc, recovery) = build_persistent_cache(&dataset, flags, dir)?;
             println!("[Persistence] {}", recovery.describe());
@@ -259,7 +260,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("{}", developer_monitor(&gc, get(flags, "top", 15)));
     }
     if snapshot_dir.is_some() {
-        finish_snapshot(&mut gc)?;
+        finish_snapshot(&gc)?;
     }
     Ok(())
 }
@@ -374,10 +375,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     println!(
         "{}",
-        render_end_user_monitor(
-            &DeploymentInfo::of_shared(server.cache()),
-            &server.serving_stats()
-        )
+        render_end_user_monitor(&DeploymentInfo::of(server.cache()), &server.serving_stats())
     );
     let report = server.drain();
     println!(
@@ -505,7 +503,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     let check = flags.contains_key("check");
-    let mut gc = build_cache(&dataset, flags)?;
+    let gc = build_cache(&dataset, flags)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let fresh = molecule_dataset(rounds * inserts, seed ^ 0x6d75_7461);
     let mut fresh = fresh.into_iter();
@@ -525,7 +523,7 @@ fn cmd_mutate(flags: &HashMap<String, String>) -> Result<(), String> {
             let r = gc.query(&q, QueryKind::Subgraph);
             if check {
                 let base = gc_method::execute_base(
-                    gc.dataset(),
+                    &gc.dataset(),
                     &gc_method::SiMethod,
                     gc_method::Engine::Vf2,
                     &q,
@@ -725,7 +723,7 @@ fn cmd_top(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
     let dataset = load_dataset(flags)?;
-    let mut gc = build_cache(&dataset, flags)?;
+    let gc = build_cache(&dataset, flags)?;
     let seed: u64 = get(flags, "seed", 7);
     let mut rng = StdRng::seed_from_u64(seed);
     let chain = nested_chain(dataset.graph(0), &[3, 5, 8, 12], &mut rng);
@@ -737,7 +735,7 @@ fn cmd_journey(flags: &HashMap<String, String>) -> Result<(), String> {
             gc.query(q, QueryKind::Subgraph);
         }
     }
-    let journey = run_query_journey(&mut gc, &chain[2], QueryKind::Subgraph);
+    let journey = run_query_journey(&gc, &chain[2], QueryKind::Subgraph);
     println!("{}", journey.rendering);
     Ok(())
 }

@@ -3,15 +3,14 @@
 //! The paper's Dashboard Manager (Fig. 1) serves two audiences: end-users
 //! get digested performance panels (Sub-Iso Testing, Query Time, Cache
 //! Replacement); developers get introspection into the cache's internals.
-//! Both render here as plain text from a live [`GraphCache`].
+//! Both render here as plain text from a live [`SharedGraphCache`].
 
 use crate::ascii;
-use gc_core::{GlobalStats, GraphCache, SharedGraphCache};
+use gc_core::{GlobalStats, SharedGraphCache};
 
 /// Deployment facts the End-User Monitor renders alongside the
-/// statistics — extracted so the panel can be drawn for any runtime
-/// (sequential cache, shared cache, or a served cache whose stats carry
-/// the serving gauges).
+/// statistics — extracted so the panel can be drawn for a local cache or
+/// a served cache whose stats carry the serving gauges.
 #[derive(Debug, Clone)]
 pub struct DeploymentInfo {
     /// Base method name.
@@ -29,20 +28,8 @@ pub struct DeploymentInfo {
 }
 
 impl DeploymentInfo {
-    /// Deployment facts of a sequential cache.
-    pub fn of(gc: &GraphCache) -> Self {
-        DeploymentInfo {
-            method: gc.method_name(),
-            policy: gc.policy_name(),
-            entries: gc.len(),
-            capacity: gc.config().capacity,
-            window_size: gc.config().window_size,
-            memory_bytes: gc.memory_bytes(),
-        }
-    }
-
-    /// Deployment facts of a shared (concurrent) cache.
-    pub fn of_shared(gc: &SharedGraphCache) -> Self {
+    /// Deployment facts of a cache.
+    pub fn of(gc: &SharedGraphCache) -> Self {
         DeploymentInfo {
             method: gc.method_name(),
             policy: gc.policy_name(),
@@ -57,7 +44,7 @@ impl DeploymentInfo {
 /// End-User Monitor: the three Demonstrator panels (paper §2) — sub-iso
 /// testing, query time, and cache replacement — from the cache's global
 /// statistics.
-pub fn end_user_monitor(gc: &GraphCache) -> String {
+pub fn end_user_monitor(gc: &SharedGraphCache) -> String {
     render_end_user_monitor(&DeploymentInfo::of(gc), &gc.stats())
 }
 
@@ -136,16 +123,20 @@ pub fn render_end_user_monitor(info: &DeploymentInfo, s: &GlobalStats) -> String
 }
 
 /// Developer Monitor: per-entry utility table (the data the replacement
-/// policies rank by), top `limit` entries by total hits.
-pub fn developer_monitor(gc: &GraphCache, limit: usize) -> String {
-    let mut entries: Vec<_> = gc.cache().iter().collect();
-    entries.sort_by_key(|e| std::cmp::Reverse(e.stats.total_hits()));
+/// policies rank by), top `limit` entries by total hits. Ids are the
+/// cache-wide ids that query reports use.
+pub fn developer_monitor(gc: &SharedGraphCache, limit: usize) -> String {
+    let mut entries = Vec::new();
+    gc.for_each_shard(|si, cm| {
+        entries.extend(cm.iter().map(|e| (SharedGraphCache::encode_entry_id(si, e.id), e.clone())));
+    });
+    entries.sort_by_key(|(_, e)| std::cmp::Reverse(e.stats.total_hits()));
     let rows: Vec<Vec<String>> = entries
         .iter()
         .take(limit)
-        .map(|e| {
+        .map(|(id, e)| {
             vec![
-                e.id.to_string(),
+                id.to_string(),
                 e.kind.to_string(),
                 format!("{}v/{}e", e.graph.vertex_count(), e.graph.edge_count()),
                 e.answer.count().to_string(),
@@ -191,13 +182,13 @@ mod tests {
     use gc_workload::{molecule_dataset, Workload, WorkloadKind, WorkloadSpec};
     use std::sync::Arc;
 
-    fn warmed() -> GraphCache {
+    fn warmed() -> SharedGraphCache {
         let dataset = Arc::new(Dataset::new(molecule_dataset(15, 21)));
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            CacheConfig { capacity: 8, window_size: 2, ..CacheConfig::default() },
+            CacheConfig { capacity: 8, window_size: 2, shards: 1, ..CacheConfig::default() },
         )
         .unwrap();
         let spec = WorkloadSpec {

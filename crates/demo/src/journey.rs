@@ -1,6 +1,6 @@
 //! Scenario I: The Query Journey (paper §3.2, Fig. 3).
 //!
-//! Executes one query against a (typically pre-warmed) [`GraphCache`] and
+//! Executes one query against a (typically pre-warmed) [`SharedGraphCache`] and
 //! narrates every stage of the computation: cache hits found, Method M's
 //! candidate set, savings from the sub and super cases, the reduced
 //! verification set, the survivors, and the final answer — ending with the
@@ -8,7 +8,7 @@
 //! (75 → 43, speedup 1.74).
 
 use crate::ascii;
-use gc_core::{GraphCache, QueryReport};
+use gc_core::{QueryReport, SharedGraphCache};
 use gc_graph::Graph;
 use gc_method::QueryKind;
 
@@ -22,13 +22,13 @@ pub struct QueryJourney {
 }
 
 /// Run `query` through `gc` and capture the Fig. 3 panels.
-pub fn run_query_journey(gc: &mut GraphCache, query: &Graph, kind: QueryKind) -> QueryJourney {
+pub fn run_query_journey(gc: &SharedGraphCache, query: &Graph, kind: QueryKind) -> QueryJourney {
     let report = gc.query(query, kind);
     let rendering = render(gc, query, &report);
     QueryJourney { report, rendering }
 }
 
-fn render(gc: &GraphCache, query: &Graph, r: &QueryReport) -> String {
+fn render(gc: &SharedGraphCache, query: &Graph, r: &QueryReport) -> String {
     let mut out = String::new();
     let per_row = 50;
     out.push_str(&format!(
@@ -97,11 +97,11 @@ mod tests {
     #[test]
     fn journey_renders_all_panels() {
         let dataset = Arc::new(Dataset::new(molecule_dataset(40, 31)));
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            CacheConfig { capacity: 50, window_size: 1, ..CacheConfig::default() },
+            CacheConfig { capacity: 50, window_size: 1, shards: 1, ..CacheConfig::default() },
         )
         .unwrap();
 
@@ -112,7 +112,7 @@ mod tests {
         let chain = nested_chain(dataset.graph(0), &[3, 6, 10], &mut rng);
         gc.query(&chain[0], QueryKind::Subgraph);
         gc.query(&chain[2], QueryKind::Subgraph);
-        let j = run_query_journey(&mut gc, &chain[1], QueryKind::Subgraph);
+        let j = run_query_journey(&gc, &chain[1], QueryKind::Subgraph);
         assert!(!j.report.exact_hit);
         for panel in ["(a)", "(b)", "(c)", "(d)", "(e)", "(f)", "(g)", "(h)", "speedup"] {
             assert!(j.rendering.contains(panel), "missing panel {panel}:\n{}", j.rendering);
@@ -122,17 +122,17 @@ mod tests {
     #[test]
     fn exact_hit_journey() {
         let dataset = Arc::new(Dataset::new(molecule_dataset(10, 32)));
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Lru,
-            CacheConfig { capacity: 10, window_size: 1, ..CacheConfig::default() },
+            CacheConfig { capacity: 10, window_size: 1, shards: 1, ..CacheConfig::default() },
         )
         .unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let q = extract_query(dataset.graph(0), 5, &mut rng).unwrap();
         gc.query(&q, QueryKind::Subgraph);
-        let j = run_query_journey(&mut gc, &q, QueryKind::Subgraph);
+        let j = run_query_journey(&gc, &q, QueryKind::Subgraph);
         assert!(j.report.exact_hit);
         assert!(j.rendering.contains("exact-match HIT"));
     }

@@ -1,20 +1,20 @@
 //! Scenario II: The Workload Run (paper §3.2, Fig. 2(b,c)).
 //!
-//! Runs the same workload through one GraphCache instance per replacement
-//! policy (all over the same Method M), tracking per-query hit percentages
+//! Runs the same workload through a separate one-shard cache for each
+//! replacement policy (all over the same Method M), tracking per-query hit percentages
 //! and which entries each policy evicts, then renders the side-by-side
 //! comparison the demo shows — different policies evict different graphs,
 //! with different resulting speedups.
 //!
 //! Also hosts the **multi-client mode** ([`run_multi_client`]): the same
 //! workload striped across N client threads hammering one
-//! [`SharedGraphCache`], with optional per-answer verification against a
-//! sequential replay — the demo surface of the concurrent front-end.
+//! [`SharedGraphCache`], with optional per-answer verification against
+//! Method M alone — the demo surface of concurrent serving.
 
 use crate::ascii;
 use gc_core::{
-    CacheConfig, CacheStore, EntryId, GlobalStats, GraphCache, PolicyKind, RecoveryReport,
-    SharedGraphCache, SnapshotInfo,
+    CacheConfig, CacheStore, EntryId, GlobalStats, PolicyKind, RecoveryReport, SharedGraphCache,
+    SnapshotInfo,
 };
 use gc_method::{execute_base, Dataset, Method};
 use gc_workload::Workload;
@@ -59,6 +59,8 @@ pub struct WorkloadComparison {
 /// Run `workload` under every bundled policy over caches built by
 /// `make_method` (one fresh Method M per policy so indices are unshared),
 /// and also through the base method alone for the speedup denominator.
+/// Each policy ranks one single cache (`config` with one shard), as in
+/// the paper.
 pub fn run_workload_comparison(
     dataset: &Arc<Dataset>,
     make_method: &dyn Fn() -> Box<dyn Method>,
@@ -79,12 +81,17 @@ pub fn run_workload_comparison(
     let base_avg_tests = base_tests as f64 / n;
     let base_avg_time = base_time.div_f64(n);
 
+    let config = CacheConfig { shards: 1, ..config.clone() };
     let outcomes = PolicyKind::all()
         .into_iter()
         .map(|policy| {
-            let mut gc =
-                GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                    .expect("valid config");
+            let gc = SharedGraphCache::with_policy(
+                dataset.clone(),
+                make_method(),
+                policy,
+                config.clone(),
+            )
+            .expect("valid config");
             let mut evicted = Vec::new();
             let mut hit_timeline = Vec::with_capacity(workload.len());
             let mut hit_pct_timeline = Vec::with_capacity(workload.len());
@@ -102,7 +109,7 @@ pub fn run_workload_comparison(
             PolicyOutcome {
                 policy,
                 evicted,
-                resident: gc.cache().ids(),
+                resident: resident_ids(&gc),
                 hit_timeline,
                 hit_pct_timeline,
                 test_speedup: if gc_avg_tests > 0.0 {
@@ -121,6 +128,15 @@ pub fn run_workload_comparison(
         .collect();
 
     WorkloadComparison { outcomes, base_avg_tests, base_avg_time }
+}
+
+/// Cache-wide ids of `gc`'s live entries (the ids query reports use).
+fn resident_ids(gc: &SharedGraphCache) -> Vec<EntryId> {
+    let mut ids = Vec::new();
+    gc.for_each_shard(|si, cm| {
+        ids.extend(cm.ids().into_iter().map(|id| SharedGraphCache::encode_entry_id(si, id)));
+    });
+    ids
 }
 
 impl WorkloadComparison {
@@ -223,21 +239,21 @@ pub struct MultiClientRun {
     pub throughput_qps: f64,
     /// Final cache statistics.
     pub stats: GlobalStats,
-    /// Answers that differed from the sequential replay (always 0; counted
-    /// only when verification was requested).
+    /// Answers that differed from Method M's (always 0; counted only when
+    /// verification was requested).
     pub mismatches: usize,
-    /// Whether answers were verified against a sequential [`GraphCache`]
-    /// replay of the same workload.
+    /// Whether answers were verified against Method M alone
+    /// ([`gc_method::execute_base`]) on the same workload.
     pub verified: bool,
 }
 
 /// Run `workload` through one [`SharedGraphCache`] from `clients` threads
 /// (queries striped round-robin), measuring throughput.
 ///
-/// With `verify_answers`, the same workload is first replayed through a
-/// sequential [`GraphCache`] over an identically-built Method M, and every
-/// concurrent answer is compared bit-for-bit (paper §1 Problem (2): the
-/// shared front-end may not introduce false positives/negatives).
+/// With `verify_answers`, the same workload is first executed by an
+/// identically-built Method M alone, and every concurrent answer is
+/// compared bit-for-bit (paper §1 Problem (2): the cache may not introduce
+/// false positives/negatives).
 pub fn run_multi_client(
     dataset: &Arc<Dataset>,
     make_method: &dyn Fn() -> Box<dyn Method>,
@@ -248,15 +264,7 @@ pub fn run_multi_client(
     verify_answers: bool,
 ) -> MultiClientRun {
     let clients = clients.max(1);
-    let expected: Vec<gc_graph::BitSet> = if verify_answers {
-        let mut seq =
-            GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                .expect("valid config");
-        workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect()
-    } else {
-        Vec::new()
-    };
-
+    let expected = expected_answers(dataset, make_method, config, workload, verify_answers);
     let gc = SharedGraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
         .expect("valid config");
     drive_clients(&gc, policy, workload, clients, verify_answers, &expected)
@@ -279,14 +287,7 @@ pub fn run_multi_client_persistent(
     store: Arc<CacheStore>,
 ) -> Result<(MultiClientRun, RecoveryReport, SnapshotInfo), String> {
     let clients = clients.max(1);
-    let expected: Vec<gc_graph::BitSet> = if verify_answers {
-        let mut seq =
-            GraphCache::with_policy(dataset.clone(), make_method(), policy, config.clone())
-                .expect("valid config");
-        workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect()
-    } else {
-        Vec::new()
-    };
+    let expected = expected_answers(dataset, make_method, config, workload, verify_answers);
 
     let (gc, recovery) = SharedGraphCache::restore_from(
         dataset.clone(),
@@ -299,6 +300,25 @@ pub fn run_multi_client_persistent(
     let info =
         gc.snapshot_now()?.expect("store is attached and no other thread snapshots this cache");
     Ok((run, recovery, info))
+}
+
+/// Method M's answer to every workload query (empty unless `verify`).
+fn expected_answers(
+    dataset: &Dataset,
+    make_method: &dyn Fn() -> Box<dyn Method>,
+    config: &CacheConfig,
+    workload: &Workload,
+    verify: bool,
+) -> Vec<gc_graph::BitSet> {
+    if !verify {
+        return Vec::new();
+    }
+    let method = make_method();
+    workload
+        .queries
+        .iter()
+        .map(|wq| execute_base(dataset, method.as_ref(), config.engine, &wq.graph, wq.kind).answer)
+        .collect()
 }
 
 /// Stripe `workload` round-robin over `clients` threads against `gc`,
@@ -368,7 +388,7 @@ impl MultiClientRun {
         ));
         if self.verified {
             out.push_str(&format!(
-                "answers vs sequential replay: {}\n",
+                "answers vs Method M: {}\n",
                 if self.mismatches == 0 {
                     "identical (bit-for-bit)".to_string()
                 } else {
@@ -400,7 +420,7 @@ mod tests {
         let cfg = CacheConfig { capacity: 8, window_size: 2, ..CacheConfig::default() };
         let run =
             run_multi_client(&dataset, &|| Box::new(SiMethod), PolicyKind::Hd, &cfg, &w, 4, true);
-        assert_eq!(run.mismatches, 0, "shared answers must equal sequential replay");
+        assert_eq!(run.mismatches, 0, "shared answers must equal Method M's");
         assert_eq!(run.stats.queries, 40);
         assert_eq!(run.queries, 40);
         assert!(run.throughput_qps > 0.0);

@@ -65,8 +65,8 @@ pub struct EntryStatsRecord {
 /// through the cache's normal insert path.
 #[derive(Debug, Clone)]
 pub struct EntryRecord {
-    /// The entry's id in the *originating* cache (shard-encoded for the
-    /// concurrent front-end). Only used to connect journal evictions to
+    /// The entry's id in the *originating* cache (shard-encoded by the
+    /// kernel's runtime). Only used to connect journal evictions to
     /// their admissions during replay; restored entries get fresh ids.
     pub orig_id: u32,
     /// The cached query graph.

@@ -189,7 +189,7 @@ impl ActiveJournal {
 ///
 /// All methods take `&self` — appends and rotations serialize on an
 /// internal mutex, so one store can be shared (behind an `Arc`) by the
-/// concurrent front-end's query threads.
+/// runtime's concurrent query threads.
 pub struct CacheStore {
     dir: PathBuf,
     inner: Mutex<Inner>,

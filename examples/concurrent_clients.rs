@@ -1,10 +1,11 @@
 //! Many client threads sharing one cache.
 //!
-//! The sequential `GraphCache` is `&mut self` per query — one in-flight
-//! query at a time. `SharedGraphCache` serves the same staged pipeline
-//! through `&self`: shard the cache state, probe under read locks, admit
-//! under short write sections, and let every client thread query
-//! concurrently with exactly the answers the sequential cache would give.
+//! `SharedGraphCache` serves the staged pipeline through `&self`: shard
+//! the cache state, probe under read locks, admit under short write
+//! sections, and let every client thread query concurrently with exactly
+//! the answers Method M alone would give. This example times one client
+//! on a one-shard cache against many clients on a sharded one, and checks
+//! every answer of both runs against Method M.
 //!
 //! Run with: `cargo run --release --example concurrent_clients`
 
@@ -27,22 +28,30 @@ fn main() {
     };
     let workload = Workload::generate(dataset.graphs(), &spec);
 
-    // Reference run: the sequential cache (answers are exact regardless of
-    // cache state, so this doubles as the ground truth).
-    let mut seq = GraphCache::with_policy(
+    // Ground truth: Method M alone, no cache.
+    let method = FtvMethod::build(&dataset, 2);
+    let expected: Vec<BitSet> = workload
+        .queries
+        .iter()
+        .map(|wq| execute_base(&dataset, &method, Engine::Vf2, &wq.graph, wq.kind).answer)
+        .collect();
+
+    // One client over a one-shard cache.
+    let single = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig::default(),
+        CacheConfig { shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     let t0 = Instant::now();
-    let expected: Vec<BitSet> =
-        workload.queries.iter().map(|wq| seq.query(&wq.graph, wq.kind).answer).collect();
-    let seq_time = t0.elapsed();
+    let single_answers: Vec<BitSet> =
+        workload.queries.iter().map(|wq| single.query(&wq.graph, wq.kind).answer).collect();
+    let single_time = t0.elapsed();
+    assert!(single_answers == expected, "one-client answers diverged from Method M");
 
     // Concurrent run: CLIENTS threads stripe the same workload over one
-    // SharedGraphCache.
+    // sharded cache.
     let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
@@ -77,8 +86,12 @@ fn main() {
 
     let stats = gc.stats();
     println!("{QUERIES} queries, {CLIENTS} concurrent clients, {} shards", gc.shard_count());
-    println!("sequential GraphCache : {:>8.1} ms", seq_time.as_secs_f64() * 1e3);
-    println!("SharedGraphCache      : {:>8.1} ms", shared_time.as_secs_f64() * 1e3);
+    println!("1 client, 1 shard     : {:>8.1} ms", single_time.as_secs_f64() * 1e3);
+    println!(
+        "{CLIENTS} clients, {} shards   : {:>8.1} ms",
+        gc.shard_count(),
+        shared_time.as_secs_f64() * 1e3
+    );
     println!(
         "hit ratio {:.1}% | exact hits {} | admitted {} | evicted {}",
         100.0 * stats.hit_ratio(),
@@ -87,7 +100,7 @@ fn main() {
         stats.evicted
     );
     match mismatches {
-        0 => println!("all concurrent answers identical to the sequential replay ✓"),
+        0 => println!("all answers identical to Method M alone ✓"),
         n => println!("!! {n} answers diverged — this would be a bug"),
     }
     assert_eq!(mismatches, 0);

@@ -29,11 +29,11 @@ fn main() {
         MoleculeParams { label_weights: vec![(0, 0.85), (1, 0.15)], ..MoleculeParams::default() };
     let dataset = Arc::new(Dataset::new(molecule_dataset_with(100, &params, 1812)));
     let method = Box::new(FtvMethod::build(&dataset, 1));
-    let mut gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         method,
         PolicyKind::Hd,
-        CacheConfig { capacity: 50, window_size: 1, ..CacheConfig::default() },
+        CacheConfig { capacity: 50, window_size: 1, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
 
@@ -61,7 +61,7 @@ fn main() {
     }
     println!("cache warmed: {} entries, policy {}\n", gc.len(), gc.policy_name());
 
-    let journey = run_query_journey(&mut gc, &journey_query, QueryKind::Subgraph);
+    let journey = run_query_journey(&gc, &journey_query, QueryKind::Subgraph);
     println!("{}", journey.rendering);
 
     let r = &journey.report;

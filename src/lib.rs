@@ -16,9 +16,10 @@
 //!   (SI and FTV base methods);
 //! * [`core`] ([`gc_core`]) — the GraphCache kernel: the staged query
 //!   pipeline (filter → probe → prune → verify → admit), replacement
-//!   policies (LRU/POP/PIN/PINC/HD), window manager, the sequential
-//!   [`GraphCache`](prelude::GraphCache) runtime and the concurrent sharded
-//!   [`SharedGraphCache`](prelude::SharedGraphCache) front-end;
+//!   policies (LRU/POP/PIN/PINC/HD), window manager, and the
+//!   [`SharedGraphCache`](prelude::SharedGraphCache) runtime (`&self`
+//!   queries from any number of threads over sharded cache state; one
+//!   shard is the paper's single cache);
 //! * [`workload`] ([`gc_workload`]) — dataset generators and workload
 //!   synthesizers;
 //! * [`demo`] ([`gc_demo`]) — the text Demonstrator (Query Journey /
@@ -35,11 +36,11 @@
 //!
 //! // 2. A base method M (filter-then-verify over a path index) and a cache.
 //! let method = Box::new(FtvMethod::build(&dataset, 3));
-//! let mut gc = GraphCache::with_policy(
+//! let gc = SharedGraphCache::with_policy(
 //!     dataset.clone(),
 //!     method,
 //!     PolicyKind::Hd,
-//!     CacheConfig::default(),
+//!     CacheConfig { shards: 1, ..CacheConfig::default() },
 //! ).unwrap();
 //!
 //! // 3. Queries.
@@ -64,8 +65,8 @@ pub use gc_workload as workload;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use gc_core::{
-        CacheConfig, CacheEntry, EntryId, GlobalStats, GraphCache, HitCredit, HitKind, Policy,
-        PolicyKind, QueryReport, ReplacementPolicy, SharedGraphCache, StatsMonitor,
+        CacheConfig, CacheEntry, EntryId, GlobalStats, HitCredit, HitKind, Policy, PolicyKind,
+        QueryReport, ReplacementPolicy, SharedGraphCache, StatsMonitor,
     };
     pub use gc_demo::{run_multi_client, run_query_journey, run_workload_comparison};
     pub use gc_graph::{BitSet, Graph, GraphBuilder, Label};

@@ -5,13 +5,13 @@ use graphcache::prelude::*;
 use rand::rngs::StdRng;
 use std::sync::Arc;
 
-fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>, GraphCache) {
+fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>, SharedGraphCache) {
     let dataset = Arc::new(Dataset::new(molecule_dataset(n_graphs, seed)));
-    let gc = GraphCache::with_policy(
+    let gc = SharedGraphCache::with_policy(
         dataset.clone(),
         Box::new(FtvMethod::build(&dataset, 2)),
         PolicyKind::Hd,
-        CacheConfig { capacity, window_size: 5, ..CacheConfig::default() },
+        CacheConfig { capacity, window_size: 5, shards: 1, ..CacheConfig::default() },
     )
     .expect("valid config");
     (dataset, gc)
@@ -19,7 +19,7 @@ fn molecule_cache(n_graphs: usize, seed: u64, capacity: usize) -> (Arc<Dataset>,
 
 #[test]
 fn cached_answers_match_base_method_end_to_end() {
-    let (dataset, mut gc) = molecule_cache(40, 1001, 15);
+    let (dataset, gc) = molecule_cache(40, 1001, 15);
     let reference = FtvMethod::build(&dataset, 2);
     let spec = WorkloadSpec {
         n_queries: 80,
@@ -39,7 +39,7 @@ fn cached_answers_match_base_method_end_to_end() {
 
 #[test]
 fn pipeline_invariants_hold_on_every_query() {
-    let (dataset, mut gc) = molecule_cache(30, 2002, 12);
+    let (dataset, gc) = molecule_cache(30, 2002, 12);
     let spec = WorkloadSpec {
         n_queries: 60,
         pool_size: 20,
@@ -69,7 +69,7 @@ fn pipeline_invariants_hold_on_every_query() {
 
 #[test]
 fn resubmission_is_an_exact_hit_with_zero_tests() {
-    let (dataset, mut gc) = molecule_cache(25, 3003, 20);
+    let (dataset, gc) = molecule_cache(25, 3003, 20);
     let mut rng = StdRng::seed_from_u64(5);
     let q = extract_query(dataset.graph(3), 7, &mut rng).unwrap();
     let first = gc.query(&q, QueryKind::Subgraph);
@@ -83,7 +83,7 @@ fn resubmission_is_an_exact_hit_with_zero_tests() {
 
 #[test]
 fn chain_queries_generate_sub_and_super_hits() {
-    let (dataset, mut gc) = molecule_cache(30, 4004, 30);
+    let (dataset, gc) = molecule_cache(30, 4004, 30);
     let mut rng = StdRng::seed_from_u64(6);
     let chain = nested_chain(dataset.graph(2), &[3, 6, 9, 13], &mut rng);
     assert_eq!(chain.len(), 4);
@@ -101,7 +101,7 @@ fn chain_queries_generate_sub_and_super_hits() {
 
 #[test]
 fn supergraph_and_subgraph_entries_do_not_mix() {
-    let (dataset, mut gc) = molecule_cache(20, 5005, 20);
+    let (dataset, gc) = molecule_cache(20, 5005, 20);
     let mut rng = StdRng::seed_from_u64(7);
     let q = extract_query(dataset.graph(0), 6, &mut rng).unwrap();
     let sub = gc.query(&q, QueryKind::Subgraph);
@@ -130,20 +130,17 @@ fn graph_io_roundtrips_through_the_cache() {
     let d2 = Arc::new(Dataset::new(reloaded));
     let mut rng = StdRng::seed_from_u64(8);
     let q = extract_query(d1.graph(4), 5, &mut rng).unwrap();
-    let mut gc1 = GraphCache::with_policy(
+    let config = CacheConfig { shards: 1, ..CacheConfig::default() };
+    let gc1 = SharedGraphCache::with_policy(
         d1.clone(),
         Box::new(SiMethod),
         PolicyKind::Lru,
-        CacheConfig::default(),
+        config.clone(),
     )
     .unwrap();
-    let mut gc2 = GraphCache::with_policy(
-        d2.clone(),
-        Box::new(SiMethod),
-        PolicyKind::Lru,
-        CacheConfig::default(),
-    )
-    .unwrap();
+    let gc2 =
+        SharedGraphCache::with_policy(d2.clone(), Box::new(SiMethod), PolicyKind::Lru, config)
+            .unwrap();
     assert_eq!(
         gc1.query(&q, QueryKind::Subgraph).answer,
         gc2.query(&q, QueryKind::Subgraph).answer
@@ -173,11 +170,11 @@ fn custom_policy_via_public_trait() {
     }
 
     let dataset = Arc::new(Dataset::new(molecule_dataset(20, 7007)));
-    let mut gc = GraphCache::new(
+    let gc = SharedGraphCache::new(
         dataset.clone(),
-        Box::new(SiMethod),
-        Box::new(EvictNewest { order: Vec::new() }),
-        CacheConfig { capacity: 5, window_size: 2, ..CacheConfig::default() },
+        Arc::new(SiMethod),
+        || Box::new(EvictNewest { order: Vec::new() }),
+        CacheConfig { capacity: 5, window_size: 2, shards: 1, ..CacheConfig::default() },
     )
     .unwrap();
     assert_eq!(gc.policy_name(), "evict-newest");
@@ -201,7 +198,7 @@ fn custom_policy_via_public_trait() {
 
 #[test]
 fn skewed_workload_yields_speedup() {
-    let (dataset, mut gc) = molecule_cache(60, 8008, 40);
+    let (dataset, gc) = molecule_cache(60, 8008, 40);
     let reference = FtvMethod::build(&dataset, 2);
     let spec = WorkloadSpec {
         n_queries: 200,
@@ -228,7 +225,7 @@ fn skewed_workload_yields_speedup() {
 
 #[test]
 fn stats_are_internally_consistent() {
-    let (dataset, mut gc) = molecule_cache(30, 9009, 10);
+    let (dataset, gc) = molecule_cache(30, 9009, 10);
     let spec = WorkloadSpec {
         n_queries: 50,
         pool_size: 20,

@@ -42,7 +42,7 @@ proptest! {
     ) {
         let dataset = Arc::new(Dataset::new(dataset_graphs));
         let policy = PolicyKind::all()[policy_idx];
-        let mut gc = GraphCache::with_policy(
+        let gc = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             policy,
@@ -50,6 +50,7 @@ proptest! {
                 capacity,
                 window_size: window,
                 min_admit_tests: 0,
+                shards: 1,
                 ..CacheConfig::default()
             },
         ).unwrap();
@@ -75,9 +76,10 @@ proptest! {
         shards in 1usize..6,
         skew_tenths in 5usize..18,
     ) {
-        // The tentpole invariant: `SharedGraphCache` queried from N threads
-        // returns, for every workload item, the exact answer set the
-        // sequential `GraphCache` replay produces — for each PolicyKind.
+        // The central invariant under concurrency: a `shards`-shard cache
+        // queried from N threads, and a one-shard cache replaying the same
+        // workload from one thread, both return for every workload item
+        // the exact answer set of Method M alone — for each PolicyKind.
         const THREADS: usize = 8;
         let policy = PolicyKind::all()[policy_idx];
         let dataset = Arc::new(Dataset::new(molecule_dataset(10, dataset_seed)));
@@ -99,17 +101,25 @@ proptest! {
             ..CacheConfig::default()
         };
 
-        let mut seq = GraphCache::with_policy(
-            dataset.clone(),
-            Box::new(SiMethod),
-            policy,
-            config.clone(),
-        ).unwrap();
         let expected: Vec<BitSet> = workload
             .queries
             .iter()
-            .map(|wq| seq.query(&wq.graph, wq.kind).answer)
+            .map(|wq| execute_base(&dataset, &SiMethod, Engine::Vf2, &wq.graph, wq.kind).answer)
             .collect();
+        let seq = SharedGraphCache::with_policy(
+            dataset.clone(),
+            Box::new(SiMethod),
+            policy,
+            CacheConfig { shards: 1, ..config.clone() },
+        ).unwrap();
+        for (i, wq) in workload.queries.iter().enumerate() {
+            prop_assert_eq!(
+                &seq.query(&wq.graph, wq.kind).answer,
+                &expected[i],
+                "one shard, policy {}",
+                policy
+            );
+        }
 
         let shared = SharedGraphCache::with_policy(
             dataset.clone(),
@@ -153,8 +163,8 @@ proptest! {
     ) {
         // With `threads > 1` and multiple shards, probes fan out per shard
         // onto the worker pool; the merged answers must still be exactly
-        // the sequential `GraphCache` replay's, under concurrent clients
-        // contending for the same pool.
+        // Method M's, under concurrent clients contending for the same
+        // pool.
         const THREADS: usize = 4;
         let policy = PolicyKind::all()[policy_idx];
         let dataset = Arc::new(Dataset::new(molecule_dataset(10, dataset_seed)));
@@ -177,16 +187,10 @@ proptest! {
             ..CacheConfig::default()
         };
 
-        let mut seq = GraphCache::with_policy(
-            dataset.clone(),
-            Box::new(SiMethod),
-            policy,
-            CacheConfig { threads: 1, ..config.clone() },
-        ).unwrap();
         let expected: Vec<BitSet> = workload
             .queries
             .iter()
-            .map(|wq| seq.query(&wq.graph, wq.kind).answer)
+            .map(|wq| execute_base(&dataset, &SiMethod, Engine::Vf2, &wq.graph, wq.kind).answer)
             .collect();
 
         let shared = SharedGraphCache::with_policy(
@@ -228,17 +232,24 @@ proptest! {
     ) {
         // Two caches over different Methods M must agree with each other.
         let dataset = Arc::new(Dataset::new(dataset_graphs));
-        let mut gc_si = GraphCache::with_policy(
+        let config = CacheConfig {
+            capacity: 4,
+            window_size: 2,
+            min_admit_tests: 0,
+            shards: 1,
+            ..CacheConfig::default()
+        };
+        let gc_si = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(SiMethod),
             PolicyKind::Hd,
-            CacheConfig { capacity: 4, window_size: 2, min_admit_tests: 0, ..CacheConfig::default() },
+            config.clone(),
         ).unwrap();
-        let mut gc_ftv = GraphCache::with_policy(
+        let gc_ftv = SharedGraphCache::with_policy(
             dataset.clone(),
             Box::new(FtvMethod::build(&dataset, 2)),
             PolicyKind::Lru,
-            CacheConfig { capacity: 4, window_size: 2, min_admit_tests: 0, ..CacheConfig::default() },
+            config,
         ).unwrap();
         for q in &queries {
             let a = gc_si.query(q, QueryKind::Subgraph);
